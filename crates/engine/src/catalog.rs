@@ -1,9 +1,12 @@
 //! The catalog: source tables and surrogate-key lookup tables.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
+use std::hash::Hasher;
 
 use etlopt_core::scalar::Scalar;
 
+use crate::ops::key::{Fnv1a, KeyValue};
 use crate::table::Table;
 
 /// Maps source recordset names to tables and surrogate-key lookup names to
@@ -11,7 +14,7 @@ use crate::table::Table;
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
-    lookups: BTreeMap<String, BTreeMap<String, Scalar>>,
+    lookups: BTreeMap<String, HashMap<KeyValue, Scalar>>,
 }
 
 impl Catalog {
@@ -30,18 +33,24 @@ impl Catalog {
         self.tables.get(name)
     }
 
-    /// Register a surrogate-key lookup entry. Keys are stored under their
-    /// canonical rendering so heterogeneous key types coexist.
+    /// Register a surrogate-key lookup entry. Keys follow the engine's
+    /// key equality (`Int(5)` and `Float(5.0)` are one entry), so
+    /// heterogeneous key types coexist.
     pub fn insert_lookup(&mut self, lookup: impl Into<String>, key: &Scalar, surrogate: Scalar) {
         self.lookups
             .entry(lookup.into())
             .or_default()
-            .insert(canonical_key(key), surrogate);
+            .insert(KeyValue::of(key), surrogate);
     }
 
     /// Resolve a surrogate for a key.
     pub fn lookup(&self, lookup: &str, key: &Scalar) -> Option<&Scalar> {
-        self.lookups.get(lookup)?.get(&canonical_key(key))
+        self.lookup_key(lookup, &KeyValue::of(key))
+    }
+
+    /// Resolve a surrogate for an already-computed key.
+    pub(crate) fn lookup_key(&self, lookup: &str, key: &KeyValue) -> Option<&Scalar> {
+        self.lookups.get(lookup)?.get(key)
     }
 
     /// Number of registered tables.
@@ -50,30 +59,22 @@ impl Catalog {
     }
 }
 
-/// Canonical string form of a key value, stable across runs.
-pub(crate) fn canonical_key(key: &Scalar) -> String {
-    match key {
-        // Integral floats canonicalize to the integer form so Int(5) and
-        // Float(5.0) hit the same lookup entry (they compare equal).
-        Scalar::Float(f) if f.fract() == 0.0 && f.is_finite() => format!("i:{}", *f as i64),
-        Scalar::Int(i) => format!("i:{i}"),
-        other => format!("{other:?}"),
-    }
+/// A deterministic surrogate derived from the key alone (FNV-1a 64 over
+/// the key's canonical text). Used when the executor runs with
+/// auto-assignment: being a pure function of the key, it is stable under
+/// any re-ordering or cloning of the SK activity — which is what makes
+/// equivalence checks exact.
+pub fn auto_surrogate(key: &Scalar) -> Scalar {
+    auto_surrogate_of(&KeyValue::of(key))
 }
 
-/// A deterministic surrogate derived from the key alone (FNV-1a 64). Used
-/// when the executor runs with auto-assignment: being a pure function of
-/// the key, it is stable under any re-ordering or cloning of the SK
-/// activity — which is what makes equivalence checks exact.
-pub fn auto_surrogate(key: &Scalar) -> Scalar {
-    let s = canonical_key(key);
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
+/// [`auto_surrogate`] of an already-computed key.
+pub(crate) fn auto_surrogate_of(key: &KeyValue) -> Scalar {
+    let mut hash = Fnv1a::default();
+    // Writing into a hasher cannot fail.
+    let _ = write!(hash, "{key}");
     // Keep it positive and roomy.
-    Scalar::Int((hash >> 1) as i64)
+    Scalar::Int((hash.finish() >> 1) as i64)
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@ use std::cmp::Ordering;
 
 use etlopt_core::predicate::{CmpOp, Predicate};
 use etlopt_core::scalar::Scalar;
-use etlopt_core::schema::Attr;
+use etlopt_core::schema::{Attr, Schema};
 
 use crate::error::Result;
-use crate::table::{Row, Table};
+use crate::table::{col_of, Row, Table};
 
 /// Three-valued logic truth value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,26 +74,71 @@ fn compare(op: CmpOp, left: &Scalar, right: &Scalar) -> Truth {
 
 /// Evaluate a predicate over one row of a table.
 pub fn eval(pred: &Predicate, table: &Table, row: &Row) -> Result<Truth> {
-    let get = |attr: &Attr| table.value(row, attr);
+    BoundPredicate::bind(pred, table.schema()).eval(row)
+}
+
+/// A predicate resolved against one input schema: attribute names
+/// become column indices once per operator instead of once per row.
+///
+/// Binding never fails. A missing attribute is remembered and raised as
+/// [`crate::EngineError::MissingAttribute`] when the first row is
+/// evaluated, so an operator over empty input succeeds on every backend.
+#[derive(Debug, Clone)]
+pub(crate) struct BoundPredicate(Result<Bound>);
+
+#[derive(Debug, Clone)]
+enum Bound {
+    Cmp(usize, CmpOp, Scalar),
+    CmpAttr(usize, CmpOp, usize),
+    IsNotNull(usize),
+    IsNull(usize),
+    InList(usize, Vec<Scalar>),
+    And(Box<Bound>, Box<Bound>),
+    Or(Box<Bound>, Box<Bound>),
+    Not(Box<Bound>),
+    True,
+}
+
+impl BoundPredicate {
+    /// Resolve `pred` against `schema`. Of several missing attributes the
+    /// first in evaluation order (left to right) is the one reported.
+    pub(crate) fn bind(pred: &Predicate, schema: &Schema) -> BoundPredicate {
+        BoundPredicate(bind(pred, schema))
+    }
+
+    /// Evaluate against one row laid out in the bound schema.
+    pub(crate) fn eval(&self, row: &Row) -> Result<Truth> {
+        match &self.0 {
+            Ok(b) => Ok(eval_bound(b, row)),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+fn bind(pred: &Predicate, schema: &Schema) -> Result<Bound> {
+    let col = |attr: &Attr| col_of(schema, attr);
     Ok(match pred {
-        Predicate::Cmp { attr, op, value } => compare(*op, get(attr)?, value),
-        Predicate::CmpAttr { left, op, right } => compare(*op, get(left)?, get(right)?),
-        Predicate::IsNotNull(attr) => {
-            if get(attr)?.is_null() {
-                Truth::False
-            } else {
-                Truth::True
-            }
-        }
-        Predicate::IsNull(attr) => {
-            if get(attr)?.is_null() {
-                Truth::True
-            } else {
-                Truth::False
-            }
-        }
-        Predicate::InList { attr, values } => {
-            let v = get(attr)?;
+        Predicate::Cmp { attr, op, value } => Bound::Cmp(col(attr)?, *op, value.clone()),
+        Predicate::CmpAttr { left, op, right } => Bound::CmpAttr(col(left)?, *op, col(right)?),
+        Predicate::IsNotNull(attr) => Bound::IsNotNull(col(attr)?),
+        Predicate::IsNull(attr) => Bound::IsNull(col(attr)?),
+        Predicate::InList { attr, values } => Bound::InList(col(attr)?, values.clone()),
+        Predicate::And(a, b) => Bound::And(Box::new(bind(a, schema)?), Box::new(bind(b, schema)?)),
+        Predicate::Or(a, b) => Bound::Or(Box::new(bind(a, schema)?), Box::new(bind(b, schema)?)),
+        Predicate::Not(p) => Bound::Not(Box::new(bind(p, schema)?)),
+        Predicate::True => Bound::True,
+    })
+}
+
+fn eval_bound(b: &Bound, row: &Row) -> Truth {
+    let truth = |holds: bool| if holds { Truth::True } else { Truth::False };
+    match b {
+        Bound::Cmp(c, op, value) => compare(*op, &row[*c], value),
+        Bound::CmpAttr(l, op, r) => compare(*op, &row[*l], &row[*r]),
+        Bound::IsNotNull(c) => truth(!row[*c].is_null()),
+        Bound::IsNull(c) => truth(row[*c].is_null()),
+        Bound::InList(c, values) => {
+            let v = &row[*c];
             if v.is_null() {
                 Truth::Unknown
             } else if values.iter().any(|x| v.compare(x) == Some(Ordering::Equal)) {
@@ -104,11 +149,11 @@ pub fn eval(pred: &Predicate, table: &Table, row: &Row) -> Result<Truth> {
                 Truth::False
             }
         }
-        Predicate::And(a, b) => eval(a, table, row)?.and(eval(b, table, row)?),
-        Predicate::Or(a, b) => eval(a, table, row)?.or(eval(b, table, row)?),
-        Predicate::Not(p) => eval(p, table, row)?.not(),
-        Predicate::True => Truth::True,
-    })
+        Bound::And(a, b) => eval_bound(a, row).and(eval_bound(b, row)),
+        Bound::Or(a, b) => eval_bound(a, row).or(eval_bound(b, row)),
+        Bound::Not(p) => eval_bound(p, row).not(),
+        Bound::True => Truth::True,
+    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::table::Table;
@@ -132,28 +133,68 @@ impl Default for SharedCache {
 /// holds the lock for the whole execution, which keeps a run's hit/miss
 /// accounting exact (the closure sees the cache quiescent) and costs
 /// nothing across families, since distinct families use distinct handles.
+/// The gauges ([`SharedCacheHandle::counters`],
+/// [`SharedCacheHandle::cached_rows`]) are read without the lock, so an
+/// observer never waits behind a run.
 #[derive(Debug, Clone, Default)]
 pub struct SharedCacheHandle {
     inner: Arc<std::sync::Mutex<SharedCache>>,
+    gauges: Arc<Gauges>,
+}
+
+/// A lock-free copy of a cache's counters, refreshed whenever
+/// [`SharedCacheHandle::with_cache`] releases the cache.
+#[derive(Debug, Default)]
+struct Gauges {
+    rows: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    insertions: AtomicU64,
+}
+
+impl Gauges {
+    fn refresh(&self, cache: &SharedCache) {
+        let (hits, misses, insertions) = cache.counters();
+        self.rows.store(cache.cached_rows(), Ordering::Relaxed);
+        self.hits.store(hits, Ordering::Relaxed);
+        self.misses.store(misses, Ordering::Relaxed);
+        self.insertions.store(insertions, Ordering::Relaxed);
+    }
 }
 
 impl SharedCacheHandle {
     /// Wrap a cache for sharing.
     pub fn new(cache: SharedCache) -> SharedCacheHandle {
+        let gauges = Gauges::default();
+        gauges.refresh(&cache);
         SharedCacheHandle {
             inner: Arc::new(std::sync::Mutex::new(cache)),
+            gauges: Arc::new(gauges),
         }
     }
 
     /// Run `f` with exclusive access to the cache.
     pub fn with_cache<R>(&self, f: impl FnOnce(&mut SharedCache) -> R) -> R {
         let mut guard = self.inner.lock().expect("shared cache lock poisoned");
-        f(&mut guard)
+        let out = f(&mut guard);
+        self.gauges.refresh(&guard);
+        out
     }
 
-    /// `(hits, misses, insertions)` accumulated over every run so far.
+    /// `(hits, misses, insertions)` accumulated over every completed
+    /// [`SharedCacheHandle::with_cache`] call.
     pub fn counters(&self) -> (u64, u64, u64) {
-        self.with_cache(|c| c.counters())
+        (
+            self.gauges.hits.load(Ordering::Relaxed),
+            self.gauges.misses.load(Ordering::Relaxed),
+            self.gauges.insertions.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Total rows cached, as of the last completed
+    /// [`SharedCacheHandle::with_cache`] call.
+    pub fn cached_rows(&self) -> usize {
+        self.gauges.rows.load(Ordering::Relaxed)
     }
 
     /// Cached entry count.

@@ -567,6 +567,39 @@ mod tests {
     }
 
     #[test]
+    fn missing_predicate_attribute_fails_on_the_first_row_not_at_build() {
+        let funcs = crate::functions::FunctionRegistry::builtin();
+        let catalog = Catalog::new();
+        let ghost = UnaryOp::filter(Predicate::gt("ghost", 1.0));
+        let drain = |table: Table| -> Result<usize> {
+            let mut rt = Runtime {
+                pool: BufferPool::new(PoolConfig::with_budget(4)),
+                stats: ExecStats::default(),
+                counters: ExecCounters::default(),
+                ctx: ExecCtx {
+                    functions: &funcs,
+                    catalog: &catalog,
+                    auto_lookup: true,
+                },
+                batch_rows: 8,
+            };
+            let scan = Box::new(stream::TableScan::new(table));
+            let mut iter =
+                stream::unary_pipeline(std::slice::from_ref(&ghost), scan, "1", &rt.ctx)?;
+            let mut rows = 0;
+            while let Some(batch) = iter.next_batch(&mut rt)? {
+                rows += batch.len();
+            }
+            Ok(rows)
+        };
+        assert_eq!(drain(Table::empty(Schema::of(["k", "v"]))).unwrap(), 0);
+        assert!(matches!(
+            drain(wide_table(3)).unwrap_err(),
+            EngineError::MissingAttribute { attr, .. } if attr == "ghost"
+        ));
+    }
+
+    #[test]
     fn rerunning_the_same_workflow_serves_targets_from_cache() {
         let wf = pipeline_wf();
         let exec = executor(400);

@@ -58,7 +58,6 @@
 //! channel receiver, which wakes any feeder blocked on the bounded
 //! queue, so poisoned runs fail fast instead of deadlocking.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -66,7 +65,6 @@ use std::sync::{mpsc, Arc, OnceLock};
 use etlopt_core::activity::Op;
 use etlopt_core::error::CoreError;
 use etlopt_core::graph::{Graph, Node, NodeId};
-use etlopt_core::predicate::Predicate;
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::{Attr, Schema};
 use etlopt_core::semantics::{Aggregation, BinaryOp, UnaryOp};
@@ -74,11 +72,11 @@ use etlopt_core::trace::ExecCounters;
 use etlopt_core::workflow::Workflow;
 
 use crate::error::{EngineError, Result};
-use crate::eval;
 use crate::executor::{ExecResult, ExecStats};
-use crate::ops::{self, tuple_key, AggState, ExecCtx};
+use crate::ops::key::RowKey;
+use crate::ops::{self, AggState, ExecCtx, KeepFirst, RowOp};
 use crate::pool::{BufferId, BufferPool, PoolConfig};
-use crate::table::{Row, Table};
+use crate::table::{col_of, Row, Table};
 
 use super::channel::{self, ChannelStats, Receiver, Sender};
 use super::{plan_cache, CachePlan, SharedCache, StreamConfig, StreamRun};
@@ -157,27 +155,6 @@ pub(super) enum Require {
     Keys(Vec<Attr>),
     /// Identical whole rows must share a partition (any key scheme works).
     WholeRow,
-}
-
-// ---------------------------------------------------------------------
-// Deterministic routing
-// ---------------------------------------------------------------------
-
-/// FNV-1a over the canonical key bytes. The partitioner must hash
-/// identically on every run and every thread count — `HashMap`'s
-/// `RandomState` is seeded per process and must never route rows.
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Destination partition for a canonical key string.
-pub(super) fn route(key: &str, nparts: usize) -> usize {
-    (fnv1a(key.as_bytes()) % nparts as u64) as usize
 }
 
 // ---------------------------------------------------------------------
@@ -285,8 +262,8 @@ pub(super) fn retag_dense(parts: Vec<Vec<(u128, Row)>>) -> Vec<Vec<Tagged>> {
     out
 }
 
-/// The in-memory exchange operator: re-route every row to
-/// `route(hash(keys))`, preserving tags (so partitions stay
+/// The in-memory exchange operator: re-route every row to its key's
+/// [`RowKey::route`] partition, preserving tags (so partitions stay
 /// tag-ascending). Worker `j` scans all source partitions and keeps the
 /// rows destined for itself; the per-source selections merge by tag.
 pub(super) fn exchange(
@@ -303,9 +280,7 @@ pub(super) fn exchange(
             .iter()
             .map(|src| {
                 src.iter()
-                    .filter(|(_, row)| {
-                        route(&tuple_key(cols.iter().map(|&c| &row[c])), nparts) == j
-                    })
+                    .filter(|(_, row)| RowKey::cols(row, &cols).route(nparts) == j)
                     .cloned()
                     .collect()
             })
@@ -373,20 +348,14 @@ pub(super) fn reorder_set(set: PartSet, target: &Schema) -> Result<PartSet> {
 
 /// The per-partition execution plan of one chain link.
 pub(super) enum LinkPlan {
-    /// Per-row predicate evaluation (tags pass through).
-    Filter(Predicate),
-    /// Keep rows whose column is non-NULL.
-    NotNull(usize),
     /// Keep the first (minimum-tag) row per key: `Some(cols)` for the PK
     /// check, `None` for whole-row dedup.
     KeepFirst(Option<Vec<usize>>),
     /// Partitioned group-by aggregation.
-    Aggregate {
-        agg: Aggregation,
-        group_cols: Vec<usize>,
-    },
-    /// 1:1 row-wise operator via the materializing implementation.
-    RowWise(UnaryOp),
+    Aggregate(Aggregation),
+    /// Filter or row rewrite via the materializing implementation (the
+    /// operator is kept for [`scheme_after`]).
+    Row(RowOp, UnaryOp),
 }
 
 /// One planned chain link: its execution plan, schemas, and the
@@ -398,10 +367,10 @@ pub(super) struct Link {
     pub(super) require: Option<Require>,
 }
 
-/// Plan every link of a unary chain up front — probing each operator
-/// against an empty table exactly like the sequential
-/// `stream::unary_pipeline` does — so schema errors surface before any
-/// data moves, in the same order the sequential backend raises them.
+/// Plan every link of a unary chain up front — binding each operator to
+/// its input schema exactly like the sequential `stream::unary_pipeline`
+/// does — so schema errors surface before any data moves, in the same
+/// order the sequential backend raises them.
 pub(super) fn plan_chain(
     chain: &[UnaryOp],
     input_schema: &Schema,
@@ -410,10 +379,10 @@ pub(super) fn plan_chain(
     let mut links = Vec::with_capacity(chain.len());
     let mut cur = input_schema.clone();
     for op in chain {
-        let probe = Table::empty(cur.clone());
         let (plan, out_schema, require) = match op {
             UnaryOp::PkCheck { key, .. } => {
-                let cols: Vec<usize> = key.iter().map(|a| probe.col(a)).collect::<Result<_>>()?;
+                let cols: Vec<usize> =
+                    key.iter().map(|a| col_of(&cur, a)).collect::<Result<_>>()?;
                 (
                     LinkPlan::KeepFirst(Some(cols)),
                     cur.clone(),
@@ -426,33 +395,17 @@ pub(super) fn plan_chain(
                 Some(Require::WholeRow),
             ),
             UnaryOp::Aggregate { agg, .. } => {
-                let state = AggState::new(agg, &cur)?;
-                let out = state.output_schema();
-                let group_cols: Vec<usize> = agg
-                    .group_by
-                    .iter()
-                    .map(|a| probe.col(a))
-                    .collect::<Result<_>>()?;
+                let out = AggState::new(agg, &cur)?.output_schema();
                 (
-                    LinkPlan::Aggregate {
-                        agg: agg.clone(),
-                        group_cols,
-                    },
+                    LinkPlan::Aggregate(agg.clone()),
                     out,
                     Some(Require::Keys(agg.group_by.clone())),
                 )
             }
             op => {
-                // Row-wise and filtering operators: derive the output
-                // schema (and surface schema errors) through the
-                // materializing implementation on an empty probe.
-                let out = ops::exec_unary(op, &probe, ctx)?.schema().clone();
-                let plan = match op {
-                    UnaryOp::Filter { predicate, .. } => LinkPlan::Filter(predicate.clone()),
-                    UnaryOp::NotNull { attr, .. } => LinkPlan::NotNull(probe.col(attr)?),
-                    other => LinkPlan::RowWise(other.clone()),
-                };
-                (plan, out, None)
+                let row_op = RowOp::bind(op, &cur, ctx)?;
+                let out = row_op.schema().clone();
+                (LinkPlan::Row(row_op, op.clone()), out, None)
             }
         };
         links.push(Link {
@@ -474,11 +427,11 @@ pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
         return Scheme::Arbitrary;
     };
     let broken = match plan {
-        // Row filters never move or rewrite columns.
-        LinkPlan::Filter(_) | LinkPlan::NotNull(_) | LinkPlan::KeepFirst(_) => false,
+        // Keep-first filters never move or rewrite columns.
+        LinkPlan::KeepFirst(_) => false,
         // Group rows keep their groupers' values; other columns vanish.
-        LinkPlan::Aggregate { agg, .. } => !keys.iter().all(|k| agg.group_by.contains(k)),
-        LinkPlan::RowWise(op) => match op {
+        LinkPlan::Aggregate(agg) => !keys.iter().all(|k| agg.group_by.contains(k)),
+        LinkPlan::Row(_, op) => match op {
             UnaryOp::ProjectOut(attrs) => keys.iter().any(|k| attrs.contains(k)),
             UnaryOp::AddField { attr, .. } => keys.contains(attr),
             UnaryOp::Function(f) => {
@@ -502,69 +455,37 @@ pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
 /// round-synchronous path). Input is tag-ascending; output must be too.
 pub(super) fn apply_link(link: &Link, part: &[Tagged], ctx: &ExecCtx<'_>) -> Result<Vec<Tagged>> {
     match &link.plan {
-        LinkPlan::Filter(pred) => {
-            let probe = Table::empty(link.in_schema.clone());
-            let mut out = Vec::new();
+        LinkPlan::Row(op, _) => {
+            let mut out = Vec::with_capacity(part.len());
             for (tag, row) in part {
-                if eval::eval(pred, &probe, row)?.passes() {
-                    out.push((*tag, row.clone()));
+                if let Some(row) = op.apply(row.clone(), ctx)? {
+                    out.push((*tag, row));
                 }
             }
             Ok(out)
         }
-        LinkPlan::NotNull(col) => Ok(part
-            .iter()
-            .filter(|(_, row)| !row[*col].is_null())
-            .cloned()
-            .collect()),
         LinkPlan::KeepFirst(cols) => {
-            let mut seen: HashMap<String, ()> = HashMap::new();
-            let mut out = Vec::new();
-            for (tag, row) in part {
-                let k = match cols {
-                    Some(cols) => tuple_key(cols.iter().map(|&c| &row[c])),
-                    None => tuple_key(row.iter()),
-                };
-                if let Entry::Vacant(e) = seen.entry(k) {
-                    e.insert(());
-                    out.push((*tag, row.clone()));
-                }
-            }
-            Ok(out)
+            let mut keep = KeepFirst::on(cols.clone());
+            Ok(part
+                .iter()
+                .filter(|(_, row)| keep.admit(row))
+                .cloned()
+                .collect())
         }
-        LinkPlan::Aggregate { agg, group_cols } => {
+        LinkPlan::Aggregate(agg) => {
             // The whole group lives in this partition and arrives in
             // global input order, so accumulation order — and float
             // sums — match the sequential run bit-for-bit. Each group
             // is tagged with its first-seen input tag: ascending in
             // first-appearance order, the sequential emission order.
             let mut state = AggState::new(agg, &link.in_schema)?;
-            let mut seen: HashSet<String> = HashSet::new();
             let mut first_tags: Vec<u64> = Vec::new();
             for (tag, row) in part {
-                if seen.insert(tuple_key(group_cols.iter().map(|&c| &row[c]))) {
+                if state.feed_row(row)? {
                     first_tags.push(*tag);
                 }
-                state.feed_row(row)?;
             }
-            let rows = state.finish()?.into_rows();
-            if rows.len() != first_tags.len() {
-                return Err(internal("aggregate group count drifted from tag count"));
-            }
-            Ok(first_tags.into_iter().zip(rows).collect())
-        }
-        LinkPlan::RowWise(op) => {
-            let (tags, rows): (Vec<u64>, Vec<Row>) = part.iter().cloned().unzip();
-            let t = Table::from_rows(link.in_schema.clone(), rows)?;
-            let out = ops::exec_unary(op, &t, ctx)?.into_rows();
-            if out.len() != tags.len() {
-                return Err(internal(format!(
-                    "row-wise operator changed cardinality ({} -> {})",
-                    tags.len(),
-                    out.len()
-                )));
-            }
-            Ok(tags.into_iter().zip(out).collect())
+            Ok(first_tags.into_iter().zip(state.finish()?).collect())
         }
     }
 }
@@ -1545,27 +1466,11 @@ struct WorkerOut {
 /// across batches so rows can flow through the whole segment pipeline
 /// without a per-link barrier.
 enum LinkRt<'s> {
-    Filter {
-        pred: &'s Predicate,
-        probe: Table,
-    },
-    NotNull {
-        col: usize,
-    },
-    KeepFirst {
-        cols: Option<&'s [usize]>,
-        seen: HashSet<String>,
-    },
+    Row(&'s RowOp),
+    KeepFirst(KeepFirst),
     Aggregate {
-        /// `Option` so `flush` can take ownership for `finish()`.
-        state: Option<AggState>,
-        group_cols: &'s [usize],
-        seen: HashSet<String>,
+        state: AggState,
         first_tags: Vec<u64>,
-    },
-    RowWise {
-        op: &'s UnaryOp,
-        in_schema: &'s Schema,
     },
     Reorder {
         perm: &'s [usize],
@@ -1587,65 +1492,36 @@ struct LinkCell<'s> {
 /// accumulates (and float-sums) in sequential order.
 fn run_cell(cell: &mut LinkCell<'_>, batch: Vec<Tagged>, ctx: &ExecCtx<'_>) -> Result<Vec<Tagged>> {
     match &mut cell.rt {
-        LinkRt::Filter { pred, probe } => {
+        LinkRt::Row(op) => {
             let mut out = Vec::with_capacity(batch.len());
             for (tag, row) in batch {
-                if eval::eval(pred, probe, &row)?.passes() {
+                if let Some(row) = op.apply(row, ctx)? {
                     out.push((tag, row));
                 }
             }
             Ok(out)
         }
-        LinkRt::NotNull { col } => Ok(batch
+        LinkRt::KeepFirst(keep) => Ok(batch
             .into_iter()
-            .filter(|(_, row)| !row[*col].is_null())
+            .filter(|(_, row)| keep.admit(row))
             .collect()),
-        LinkRt::KeepFirst { cols, seen } => {
-            let mut out = Vec::with_capacity(batch.len());
-            for (tag, row) in batch {
-                let k = match cols {
-                    Some(cols) => tuple_key(cols.iter().map(|&c| &row[c])),
-                    None => tuple_key(row.iter()),
-                };
-                if seen.insert(k) {
-                    out.push((tag, row));
-                }
-            }
-            Ok(out)
-        }
-        LinkRt::Aggregate {
-            state,
-            group_cols,
-            seen,
-            first_tags,
-        } => {
-            let st = state
-                .as_mut()
-                .ok_or_else(|| internal("aggregate state consumed before end of stream"))?;
+        LinkRt::Aggregate { state, first_tags } => {
             for (tag, row) in &batch {
-                if seen.insert(tuple_key(group_cols.iter().map(|&c| &row[c]))) {
+                if state.feed_row(row)? {
                     first_tags.push(*tag);
                 }
-                st.feed_row(row)?;
             }
             Ok(Vec::new())
         }
-        LinkRt::RowWise { op, in_schema } => {
-            let (tags, rows): (Vec<u64>, Vec<Row>) = batch.into_iter().unzip();
-            let t = Table::from_rows((*in_schema).clone(), rows)?;
-            let out = ops::exec_unary(op, &t, ctx)?.into_rows();
-            if out.len() != tags.len() {
-                return Err(internal(format!(
-                    "row-wise operator changed cardinality ({} -> {})",
-                    tags.len(),
-                    out.len()
-                )));
-            }
-            Ok(tags.into_iter().zip(out).collect())
-        }
         LinkRt::Reorder { perm } => Ok(batch
             .into_iter()
-            .map(|(tag, row)| (tag, perm.iter().map(|&i| row[i].clone()).collect()))
+            .map(|(tag, mut row)| {
+                let row = perm
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut row[i], Scalar::Null))
+                    .collect();
+                (tag, row)
+            })
             .collect()),
         LinkRt::Tally => Ok(batch),
     }
@@ -1663,24 +1539,13 @@ impl<'s> ChainRt<'s> {
         let mut cells = Vec::with_capacity(seg.links.len());
         for link in &seg.links {
             let rt = match &link.plan {
-                PipePlan::Op(LinkPlan::Filter(pred)) => LinkRt::Filter {
-                    pred,
-                    probe: Table::empty(link.in_schema.clone()),
-                },
-                PipePlan::Op(LinkPlan::NotNull(col)) => LinkRt::NotNull { col: *col },
-                PipePlan::Op(LinkPlan::KeepFirst(cols)) => LinkRt::KeepFirst {
-                    cols: cols.as_deref(),
-                    seen: HashSet::new(),
-                },
-                PipePlan::Op(LinkPlan::Aggregate { agg, group_cols }) => LinkRt::Aggregate {
-                    state: Some(AggState::new(agg, &link.in_schema)?),
-                    group_cols,
-                    seen: HashSet::new(),
+                PipePlan::Op(LinkPlan::Row(op, _)) => LinkRt::Row(op),
+                PipePlan::Op(LinkPlan::KeepFirst(cols)) => {
+                    LinkRt::KeepFirst(KeepFirst::on(cols.clone()))
+                }
+                PipePlan::Op(LinkPlan::Aggregate(agg)) => LinkRt::Aggregate {
+                    state: AggState::new(agg, &link.in_schema)?,
                     first_tags: Vec::new(),
-                },
-                PipePlan::Op(LinkPlan::RowWise(op)) => LinkRt::RowWise {
-                    op,
-                    in_schema: &link.in_schema,
                 },
                 PipePlan::Reorder(perm) => LinkRt::Reorder { perm },
                 PipePlan::Tally => LinkRt::Tally,
@@ -1737,18 +1602,9 @@ impl<'s> ChainRt<'s> {
     fn flush(&mut self, ctx: &ExecCtx<'_>, sink: &mut Sink<'_>) -> Result<()> {
         for i in 0..self.cells.len() {
             let emitted: Option<Vec<Tagged>> = match &mut self.cells[i].rt {
-                LinkRt::Aggregate {
-                    state, first_tags, ..
-                } => {
-                    let st = state
-                        .take()
-                        .ok_or_else(|| internal("aggregate state flushed twice"))?;
-                    let rows = st.finish()?.into_rows();
+                LinkRt::Aggregate { state, first_tags } => {
                     let tags = std::mem::take(first_tags);
-                    if rows.len() != tags.len() {
-                        return Err(internal("aggregate group count drifted from tag count"));
-                    }
-                    Some(tags.into_iter().zip(rows).collect())
+                    Some(tags.into_iter().zip(state.finish()?).collect())
                 }
                 _ => None,
             };
@@ -1851,9 +1707,7 @@ fn feed_segment(
                 };
                 let d = match mode {
                     RouteMode::RoundRobin => i % nparts,
-                    RouteMode::Hash(cols) => {
-                        route(&tuple_key(cols.iter().map(|&c| &row[c])), nparts)
-                    }
+                    RouteMode::Hash(cols) => RowKey::cols(&row, cols).route(nparts),
                 };
                 fed[d] += 1;
                 pending[d].push((i as u64, row));
@@ -1869,7 +1723,7 @@ fn feed_segment(
             };
             let mut merge = MergeReader::new(rt.pool, &set.parts);
             while let Some((tag, row)) = merge.next()? {
-                let d = route(&tuple_key(cols.iter().map(|&c| &row[c])), nparts);
+                let d = RowKey::cols(&row, cols).route(nparts);
                 fed[d] += 1;
                 pending[d].push((tag, row));
                 if pending[d].len() >= rt.batch_rows {
@@ -2175,14 +2029,14 @@ fn run_binary_task(
             // the matches under their composite tags. NULL keys are
             // never indexed and never probe: they never join.
             let temps = per_part(rt.nparts, |j| {
-                let mut index: HashMap<String, Vec<(usize, u64)>> = HashMap::new();
+                let mut index: HashMap<RowKey, Vec<(usize, u64)>> = HashMap::new();
                 {
                     let mut rr = PartReader::new(rt.pool, &right.parts[j]);
                     let mut pos = 0usize;
                     while let Some((rtag, row)) = rr.next()? {
                         if !rcols.iter().any(|&c| row[c].is_null()) {
                             index
-                                .entry(tuple_key(rcols.iter().map(|&c| &row[c])))
+                                .entry(RowKey::cols(&row, rcols))
                                 .or_default()
                                 .push((pos, rtag));
                         }
@@ -2204,7 +2058,7 @@ fn run_binary_task(
                     if lcols.iter().any(|&c| lrow[c].is_null()) {
                         continue;
                     }
-                    if let Some(hits) = index.get(&tuple_key(lcols.iter().map(|&c| &lrow[c]))) {
+                    if let Some(hits) = index.get(&RowKey::cols(&lrow, lcols)) {
                         for &(pos, rtag) in hits {
                             emitted += 1;
                             if let Some(w) = &mut w {
@@ -2275,17 +2129,13 @@ fn run_binary_task(
             // is the sequential map restricted to its keys; left rows
             // cancel (or survive) in tag order. The right side is keyed
             // through its permutation to the left schema, so both sides'
-            // canonical key strings agree.
+            // keys agree.
             let intersect = *intersect;
             let outs = per_part(rt.nparts, |j| {
-                let mut counts: HashMap<String, usize> = HashMap::new();
+                let mut counts: HashMap<RowKey, usize> = HashMap::new();
                 let mut rr = PartReader::new(rt.pool, &right.parts[j]);
                 while let Some((_, row)) = rr.next()? {
-                    let k = match perm {
-                        Some(p) => tuple_key(p.iter().map(|&c| &row[c])),
-                        None => tuple_key(row.iter()),
-                    };
-                    *counts.entry(k).or_insert(0) += 1;
+                    *counts.entry(RowKey::on(&row, perm.as_deref())).or_insert(0) += 1;
                 }
                 let mut w = if discard {
                     None
@@ -2295,7 +2145,7 @@ fn run_binary_task(
                 let mut emitted = 0u64;
                 let mut lr = PartReader::new(rt.pool, &left.parts[j]);
                 while let Some((tag, row)) = lr.next()? {
-                    let k = tuple_key(row.iter());
+                    let k = RowKey::row(&row);
                     let keep = if intersect {
                         match counts.get_mut(&k) {
                             Some(c) if *c > 0 => {
@@ -2597,8 +2447,9 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_spreads_keys() {
-        let hits: Vec<usize> = (0..64).map(|i| route(&format!("key-{i}"), 4)).collect();
-        let again: Vec<usize> = (0..64).map(|i| route(&format!("key-{i}"), 4)).collect();
+        let route = |i: i32| RowKey::row(&vec![Scalar::from(format!("key-{i}"))]).route(4);
+        let hits: Vec<usize> = (0..64).map(route).collect();
+        let again: Vec<usize> = (0..64).map(route).collect();
         assert_eq!(hits, again, "routing must be stable across calls");
         let used: HashSet<usize> = hits.iter().copied().collect();
         assert!(used.len() > 1, "64 distinct keys should hit >1 partition");
@@ -2646,13 +2497,13 @@ mod tests {
         // Same key → same partition, and partitions stay tag-ascending.
         let probe = Table::empty(out.schema.clone());
         let kcol = probe.col(&Attr::new("k")).expect("k resolves");
-        let mut home: HashMap<String, usize> = HashMap::new();
+        let mut home: HashMap<RowKey, usize> = HashMap::new();
         for (j, part) in out.parts.iter().enumerate() {
             let mut last = None;
             for (tag, row) in part {
                 assert!(last.is_none_or(|l| l < *tag), "tags ascend per partition");
                 last = Some(*tag);
-                let k = tuple_key([&row[kcol]].into_iter());
+                let k = RowKey::cols(row, &[kcol]);
                 assert_eq!(
                     *home.entry(k).or_insert(j),
                     j,

@@ -29,7 +29,8 @@ use etlopt_core::workflow::Workflow;
 
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecResult, ExecStats};
-use crate::ops::{self, tuple_key, ExecCtx};
+use crate::ops::key::RowKey;
+use crate::ops::{self, ExecCtx};
 use crate::pool::{BufferId, BufferPool, PoolConfig};
 use crate::table::{Row, Table};
 
@@ -178,13 +179,13 @@ impl ParRuntime<'_> {
                     // Equal rows co-locate, so this partition's
                     // multiplicity map is the sequential map restricted
                     // to its keys; left rows cancel in tag order.
-                    let mut counts: HashMap<String, usize> = HashMap::new();
+                    let mut counts: HashMap<RowKey, usize> = HashMap::new();
                     for (_, row) in &rref.parts[j] {
-                        *counts.entry(tuple_key(row.iter())).or_insert(0) += 1;
+                        *counts.entry(RowKey::row(row)).or_insert(0) += 1;
                     }
                     let mut out = Vec::new();
                     for (tag, row) in &lref.parts[j] {
-                        let k = tuple_key(row.iter());
+                        let k = RowKey::row(row);
                         if intersect {
                             if let Some(c) = counts.get_mut(&k) {
                                 if *c > 0 {
@@ -280,11 +281,11 @@ impl ParRuntime<'_> {
             // chunks (bounding residency like the sequential join) and
             // index key → (row position, right tag). NULL keys are
             // stored but never indexed — they never join.
-            let mut index: HashMap<String, Vec<(usize, u64)>> = HashMap::new();
+            let mut index: HashMap<RowKey, Vec<(usize, u64)>> = HashMap::new();
             for (pos, (rtag, row)) in rpart.iter().enumerate() {
                 if !rcols.iter().any(|&c| row[c].is_null()) {
                     index
-                        .entry(tuple_key(rcols.iter().map(|&c| &row[c])))
+                        .entry(RowKey::cols(row, &rcols))
                         .or_default()
                         .push((pos, *rtag));
                 }
@@ -297,7 +298,7 @@ impl ParRuntime<'_> {
                 if lcols.iter().any(|&c| lrow[c].is_null()) {
                     continue;
                 }
-                if let Some(matches) = index.get(&tuple_key(lcols.iter().map(|&c| &lrow[c]))) {
+                if let Some(matches) = index.get(&RowKey::cols(lrow, &lcols)) {
                     for &(pos, rtag) in matches {
                         let rrow = pool.row(buf, pos)?;
                         let mut row = lrow.clone();

@@ -4,11 +4,11 @@
 //! Every operator is a [`BatchIter`]: pulling `next_batch` pulls input
 //! batches from its child, transforms them, and counts the same
 //! per-activity statistics the materializing executor counts — so both
-//! backends report bit-identical [`crate::executor::ExecStats`]. Row-wise
-//! operators reuse the materializing implementations verbatim on each
-//! batch; stateful operators (key checks, dedup, aggregation, the binary
-//! ops) carry their state across batches, draining a side through the
-//! buffer pool where the materializing path would hold a whole table.
+//! backends report bit-identical [`crate::executor::ExecStats`]. Unary
+//! links run the materializing executor's own [`ops::Stage`] one batch at
+//! a time, carrying keyed state (PK, dedup, aggregation) across batches;
+//! the binary ops drain a side through the buffer pool where the
+//! materializing path would hold a whole table.
 //!
 //! `counters.batches` counts batches *born* into a pipeline: source-table
 //! scans, buffer re-reads, cached-table scans, and aggregate output
@@ -21,17 +21,18 @@
 //! [`super::partition`] (default) or the round-synchronous plan in
 //! [`super::roundsync`] — both bit-identical to this backend.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::Schema;
 use etlopt_core::semantics::{BinaryOp, UnaryOp};
 
 use crate::error::{EngineError, Result};
-use crate::ops::{self, tuple_key, AggState, ExecCtx};
+use crate::ops::key::RowKey;
+use crate::ops::{self, ExecCtx, Stage};
 use crate::pool::BufferId;
-use crate::table::{Row, Table};
+use crate::table::{col_of, Row, Table};
 
 use super::Runtime;
 
@@ -172,8 +173,13 @@ impl BatchIter for Reorder {
         };
         Ok(Some(
             batch
-                .iter()
-                .map(|r| self.perm.iter().map(|&i| r[i].clone()).collect())
+                .into_iter()
+                .map(|mut r| {
+                    self.perm
+                        .iter()
+                        .map(|&i| std::mem::replace(&mut r[i], Scalar::Null))
+                        .collect()
+                })
                 .collect(),
         ))
     }
@@ -185,11 +191,10 @@ pub(crate) fn reorder(inner: BoxIter, target: &Schema) -> Result<BoxIter> {
     if inner.schema() == target {
         return Ok(inner);
     }
-    let probe = Table::empty(inner.schema().clone());
-    let mut perm = Vec::with_capacity(target.len());
-    for a in target.iter() {
-        perm.push(probe.col(a)?);
-    }
+    let perm = target
+        .iter()
+        .map(|a| col_of(inner.schema(), a))
+        .collect::<Result<_>>()?;
     Ok(Box::new(Reorder {
         inner,
         perm,
@@ -197,115 +202,54 @@ pub(crate) fn reorder(inner: BoxIter, target: &Schema) -> Result<BoxIter> {
     }))
 }
 
-/// A stateless row-wise operator applied batch-at-a-time through the
-/// materializing implementation (`ops::exec_unary`), counting stats under
-/// the owning activity's key.
-struct OpIter {
+/// One unary link: the operator's [`Stage`] applied batch by batch,
+/// counting stats under the owning activity's key. A blocking stage
+/// (aggregation) drains its whole input on the first pull, then emits
+/// its groups in `batch_rows`-sized batches.
+struct UnaryIter {
     inner: BoxIter,
-    op: UnaryOp,
-    key: String,
-    counts_out: bool,
-    in_schema: Schema,
-    schema: Schema,
-}
-
-impl BatchIter for OpIter {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let Some(batch) = self.inner.next_batch(rt)? else {
-            return Ok(None);
-        };
-        rt.add_processed(&self.key, batch.len() as u64);
-        let t = Table::from_rows(self.in_schema.clone(), batch)?;
-        let out = ops::exec_unary(&self.op, &t, &rt.ctx)?;
-        let rows = out.into_rows();
-        if self.counts_out {
-            rt.add_out(&self.key, rows.len() as u64);
-        }
-        Ok(Some(rows))
-    }
-}
-
-/// Keep-first filtering with a seen-set persisted across batches: `PK`
-/// (key columns) and `DD` (whole rows).
-struct KeepFirst {
-    inner: BoxIter,
-    /// Key columns, or `None` for whole-row dedup.
-    cols: Option<Vec<usize>>,
-    seen: HashMap<String, ()>,
+    stage: Stage,
+    /// A blocking stage's output, once its input is drained.
+    pending: Option<std::vec::IntoIter<Row>>,
     key: String,
     counts_out: bool,
     schema: Schema,
 }
 
-impl BatchIter for KeepFirst {
+impl BatchIter for UnaryIter {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        let Some(batch) = self.inner.next_batch(rt)? else {
-            return Ok(None);
-        };
-        rt.add_processed(&self.key, batch.len() as u64);
-        let mut out = Vec::new();
-        for row in batch {
-            let k = match &self.cols {
-                Some(cols) => tuple_key(cols.iter().map(|&i| &row[i])),
-                None => tuple_key(row.iter()),
-            };
-            if let Entry::Vacant(e) = self.seen.entry(k) {
-                e.insert(());
-                out.push(row);
+        let out = if self.stage.is_blocking() {
+            if self.pending.is_none() {
+                while let Some(batch) = self.inner.next_batch(rt)? {
+                    rt.add_processed(&self.key, batch.len() as u64);
+                    self.stage.push(batch, &rt.ctx)?;
+                }
+                self.pending = Some(self.stage.finish()?.into_iter());
             }
-        }
+            let Some(it) = self.pending.as_mut() else {
+                return Ok(None);
+            };
+            let batch: Vec<Row> = it.by_ref().take(rt.batch_rows).collect();
+            if batch.is_empty() {
+                return Ok(None);
+            }
+            rt.counters.batches += 1;
+            batch
+        } else {
+            let Some(batch) = self.inner.next_batch(rt)? else {
+                return Ok(None);
+            };
+            rt.add_processed(&self.key, batch.len() as u64);
+            self.stage.push(batch, &rt.ctx)?
+        };
         if self.counts_out {
             rt.add_out(&self.key, out.len() as u64);
         }
         Ok(Some(out))
-    }
-}
-
-/// Streaming aggregation: folds every input batch into bounded
-/// accumulator state (one entry per group), then emits the result in
-/// batches. The only buffered data is the group table itself.
-struct Agg {
-    inner: BoxIter,
-    state: Option<AggState>,
-    out: Option<std::vec::IntoIter<Row>>,
-    key: String,
-    counts_out: bool,
-    schema: Schema,
-}
-
-impl BatchIter for Agg {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<Vec<Row>>> {
-        if let Some(mut state) = self.state.take() {
-            while let Some(batch) = self.inner.next_batch(rt)? {
-                rt.add_processed(&self.key, batch.len() as u64);
-                state.feed(&batch)?;
-            }
-            self.out = Some(state.finish()?.into_rows().into_iter());
-        }
-        let Some(it) = self.out.as_mut() else {
-            return Ok(None);
-        };
-        let batch: Vec<Row> = it.by_ref().take(rt.batch_rows).collect();
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        rt.counters.batches += 1;
-        if self.counts_out {
-            rt.add_out(&self.key, batch.len() as u64);
-        }
-        Ok(Some(batch))
     }
 }
 
@@ -349,58 +293,15 @@ pub(crate) fn unary_pipeline(
     let mut cur = input;
     let last = chain.len() - 1;
     for (i, op) in chain.iter().enumerate() {
-        let counts_out = i == last;
-        let in_schema = cur.schema().clone();
-        cur = match op {
-            UnaryOp::PkCheck { key: pk, .. } => {
-                let probe = Table::empty(in_schema.clone());
-                let cols: Vec<usize> = pk.iter().map(|a| probe.col(a)).collect::<Result<_>>()?;
-                Box::new(KeepFirst {
-                    inner: cur,
-                    cols: Some(cols),
-                    seen: HashMap::new(),
-                    key: key.to_owned(),
-                    counts_out,
-                    schema: in_schema,
-                })
-            }
-            UnaryOp::Dedup { .. } => Box::new(KeepFirst {
-                inner: cur,
-                cols: None,
-                seen: HashMap::new(),
-                key: key.to_owned(),
-                counts_out,
-                schema: in_schema,
-            }),
-            UnaryOp::Aggregate { agg, .. } => {
-                let state = AggState::new(agg, &in_schema)?;
-                let schema = state.output_schema();
-                Box::new(Agg {
-                    inner: cur,
-                    state: Some(state),
-                    out: None,
-                    key: key.to_owned(),
-                    counts_out,
-                    schema,
-                })
-            }
-            op => {
-                // Row-wise: derive the output schema (and surface schema
-                // errors exactly like the materializing path) by probing
-                // the operator with an empty table.
-                let schema = ops::exec_unary(op, &Table::empty(in_schema.clone()), ctx)?
-                    .schema()
-                    .clone();
-                Box::new(OpIter {
-                    inner: cur,
-                    op: op.clone(),
-                    key: key.to_owned(),
-                    counts_out,
-                    in_schema,
-                    schema,
-                })
-            }
-        };
+        let stage = Stage::bind(op, cur.schema(), ctx)?;
+        cur = Box::new(UnaryIter {
+            inner: cur,
+            schema: stage.schema(),
+            stage,
+            pending: None,
+            key: key.to_owned(),
+            counts_out: i == last,
+        });
     }
     Ok(cur)
 }
@@ -446,7 +347,7 @@ impl BatchIter for Union {
 struct HashJoin {
     left: BoxIter,
     right: Option<BoxIter>,
-    built: Option<(BufferId, HashMap<String, Vec<usize>>)>,
+    built: Option<(BufferId, HashMap<RowKey, Vec<usize>>)>,
     lcols: Vec<usize>,
     rcols: Vec<usize>,
     /// Right columns appended to matched left rows.
@@ -467,7 +368,7 @@ impl BatchIter for HashJoin {
                 .take()
                 .ok_or_else(|| internal("join build side already consumed"))?;
             let buf = rt.pool.create(right.schema().clone());
-            let mut index: HashMap<String, Vec<usize>> = HashMap::new();
+            let mut index: HashMap<RowKey, Vec<usize>> = HashMap::new();
             let mut base = 0usize;
             while let Some(batch) = right.next_batch(rt)? {
                 rt.add_processed(&self.key, batch.len() as u64);
@@ -477,7 +378,7 @@ impl BatchIter for HashJoin {
                         continue;
                     }
                     index
-                        .entry(tuple_key(self.rcols.iter().map(|&c| &row[c])))
+                        .entry(RowKey::cols(row, &self.rcols))
                         .or_default()
                         .push(base + i);
                 }
@@ -499,8 +400,7 @@ impl BatchIter for HashJoin {
             if self.lcols.iter().any(|&c| lrow[c].is_null()) {
                 continue;
             }
-            let k = tuple_key(self.lcols.iter().map(|&c| &lrow[c]));
-            if let Some(matches) = index.get(&k) {
+            if let Some(matches) = index.get(&RowKey::cols(lrow, &self.lcols)) {
                 for &ri in matches {
                     let rrow = rt.pool.row(*buf, ri)?;
                     let mut row = lrow.clone();
@@ -520,7 +420,7 @@ impl BatchIter for HashJoin {
 struct DiffIntersect {
     left: BoxIter,
     right: Option<BoxIter>,
-    counts: Option<HashMap<String, usize>>,
+    counts: Option<HashMap<RowKey, usize>>,
     intersect: bool,
     key: String,
     schema: Schema,
@@ -537,11 +437,11 @@ impl BatchIter for DiffIntersect {
                 .right
                 .take()
                 .ok_or_else(|| internal("diff/intersect right side already consumed"))?;
-            let mut counts: HashMap<String, usize> = HashMap::new();
+            let mut counts: HashMap<RowKey, usize> = HashMap::new();
             while let Some(batch) = right.next_batch(rt)? {
                 rt.add_processed(&self.key, batch.len() as u64);
                 for row in &batch {
-                    *counts.entry(tuple_key(row.iter())).or_insert(0) += 1;
+                    *counts.entry(RowKey::row(row)).or_insert(0) += 1;
                 }
             }
             self.counts = Some(counts);
@@ -556,7 +456,7 @@ impl BatchIter for DiffIntersect {
             .ok_or_else(|| internal("diff/intersect streamed before build"))?;
         let mut out = Vec::new();
         for row in batch {
-            let k = tuple_key(row.iter());
+            let k = RowKey::row(&row);
             if self.intersect {
                 if let Some(c) = counts.get_mut(&k) {
                     if *c > 0 {
@@ -603,10 +503,14 @@ pub(crate) fn binary_pipeline(
             schema,
         })),
         BinaryOp::Join(on) => {
-            let lprobe = Table::empty(lschema.clone());
-            let rprobe = Table::empty(rschema.clone());
-            let lcols: Vec<usize> = on.iter().map(|a| lprobe.col(a)).collect::<Result<_>>()?;
-            let rcols: Vec<usize> = on.iter().map(|a| rprobe.col(a)).collect::<Result<_>>()?;
+            let lcols: Vec<usize> = on
+                .iter()
+                .map(|a| col_of(&lschema, a))
+                .collect::<Result<_>>()?;
+            let rcols: Vec<usize> = on
+                .iter()
+                .map(|a| col_of(&rschema, a))
+                .collect::<Result<_>>()?;
             let extra: Vec<usize> = rschema
                 .iter()
                 .enumerate()

@@ -232,11 +232,13 @@ impl Executor {
         let ctx = self.exec_ctx();
         let graph = wf.graph();
         let order = graph.topo_order()?;
-        let mut outputs: BTreeMap<NodeId, Table> = BTreeMap::new();
+        // Each output with the number of consumers still to read it.
+        let mut outputs: BTreeMap<NodeId, (Table, usize)> = BTreeMap::new();
         let mut stats = ExecStats::default();
         let mut targets = BTreeMap::new();
 
         for &id in &order {
+            let consumers = graph.consumers(id)?.len();
             match graph.node(id)? {
                 Node::Recordset(rs) => {
                     let table = match graph.provider(id, 0)? {
@@ -249,45 +251,68 @@ impl Executor {
                             // (reference attribute names / order).
                             t.reordered(&rs.schema)?
                         }
-                        Some(p) => outputs[&p].reordered(&rs.schema)?,
+                        Some(p) => take_output(&mut outputs, p)?.into_reordered(&rs.schema)?,
                     };
-                    if graph.consumers(id)?.is_empty() {
-                        targets.insert(rs.name.clone(), table.clone());
+                    if consumers == 0 {
+                        targets.insert(rs.name.clone(), table);
+                    } else {
+                        outputs.insert(id, (table, consumers));
                     }
-                    outputs.insert(id, table);
                 }
                 Node::Activity(act) => {
-                    let inputs: Vec<&Table> = graph
-                        .providers(id)?
-                        .iter()
-                        .map(|p| {
-                            p.map(|p| &outputs[&p]).ok_or(EngineError::Core(
-                                etlopt_core::error::CoreError::MissingProvider {
-                                    node: id,
-                                    port: 0,
-                                },
-                            ))
-                        })
-                        .collect::<Result<_>>()?;
+                    let mut inputs: Vec<Table> = Vec::new();
+                    for p in graph.providers(id)? {
+                        let p = p.ok_or(EngineError::Core(CoreError::MissingProvider {
+                            node: id,
+                            port: 0,
+                        }))?;
+                        inputs.push(take_output(&mut outputs, p)?);
+                    }
+                    let mut inputs = inputs.into_iter();
+                    let mut input = || inputs.next().ok_or_else(|| missing_output(id));
                     let (table, processed) = match &act.op {
                         Op::Unary(op) => {
-                            let t = exec_unary(op, inputs[0], &ctx)?;
-                            (t, inputs[0].len() as u64)
+                            let input = input()?;
+                            let processed = input.len() as u64;
+                            (exec_unary(op, input, &ctx)?, processed)
                         }
-                        Op::Merged(chain) => exec_chain(chain, inputs[0], &ctx)?,
+                        Op::Merged(chain) => exec_chain(chain, input()?, &ctx)?,
                         Op::Binary(op) => {
-                            let t = exec_binary(op, inputs[0], inputs[1])?;
-                            (t, (inputs[0].len() + inputs[1].len()) as u64)
+                            let (left, right) = (input()?, input()?);
+                            let t = exec_binary(op, &left, &right)?;
+                            (t, (left.len() + right.len()) as u64)
                         }
                     };
                     let key = act.id.to_string();
                     *stats.rows_processed.entry(key.clone()).or_insert(0) += processed;
                     *stats.rows_out.entry(key).or_insert(0) += table.len() as u64;
-                    outputs.insert(id, table);
+                    outputs.insert(id, (table, consumers));
                 }
             }
         }
         Ok(ExecResult { targets, stats })
+    }
+}
+
+/// Read a node's output: the last consumer takes the table by value, so
+/// row-wise operators move its rows instead of cloning them.
+fn take_output(outputs: &mut BTreeMap<NodeId, (Table, usize)>, id: NodeId) -> Result<Table> {
+    match outputs.get_mut(&id) {
+        Some((t, readers)) if *readers > 1 => {
+            *readers -= 1;
+            Ok(t.clone())
+        }
+        _ => outputs
+            .remove(&id)
+            .map(|(t, _)| t)
+            .ok_or_else(|| missing_output(id)),
+    }
+}
+
+fn missing_output(id: NodeId) -> EngineError {
+    EngineError::FunctionFailed {
+        function: "executor::run_materialize".into(),
+        reason: format!("node {id:?} has no output to read"),
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use etlopt_core::semantics::BinaryOp;
 
 use crate::error::{EngineError, Result};
-use crate::ops::tuple_key;
+use crate::ops::key::RowKey;
 use crate::table::Table;
 
 /// Execute a binary operator. Union/difference/intersection require
@@ -58,16 +58,13 @@ fn join(on: &[etlopt_core::schema::Attr], left: &Table, right: &Table) -> Result
         .collect();
 
     // Hash the right side by key.
-    let mut index: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut index: HashMap<RowKey, Vec<usize>> = HashMap::new();
     for (i, row) in right.rows().iter().enumerate() {
         // NULL keys never join.
         if rcols.iter().any(|&c| row[c].is_null()) {
             continue;
         }
-        index
-            .entry(tuple_key(rcols.iter().map(|&c| &row[c])))
-            .or_default()
-            .push(i);
+        index.entry(RowKey::cols(row, &rcols)).or_default().push(i);
     }
 
     let mut out = Table::empty(out_schema);
@@ -75,8 +72,7 @@ fn join(on: &[etlopt_core::schema::Attr], left: &Table, right: &Table) -> Result
         if lcols.iter().any(|&c| lrow[c].is_null()) {
             continue;
         }
-        let k = tuple_key(lcols.iter().map(|&c| &lrow[c]));
-        if let Some(matches) = index.get(&k) {
+        if let Some(matches) = index.get(&RowKey::cols(lrow, &lcols)) {
             for &ri in matches {
                 let rrow = &right.rows()[ri];
                 let mut row = lrow.clone();
@@ -91,14 +87,13 @@ fn join(on: &[etlopt_core::schema::Attr], left: &Table, right: &Table) -> Result
 /// Bag difference: each right occurrence cancels one left occurrence.
 fn difference(left: &Table, right: &Table) -> Result<Table> {
     let right = aligned(left, right)?;
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts: HashMap<RowKey, usize> = HashMap::new();
     for row in right.rows() {
-        *counts.entry(tuple_key(row.iter())).or_insert(0) += 1;
+        *counts.entry(RowKey::row(row)).or_insert(0) += 1;
     }
     let mut out = Table::empty(left.schema().clone());
     for row in left.rows() {
-        let k = tuple_key(row.iter());
-        match counts.get_mut(&k) {
+        match counts.get_mut(&RowKey::row(row)) {
             Some(c) if *c > 0 => *c -= 1,
             _ => out.push(row.clone())?,
         }
@@ -109,14 +104,13 @@ fn difference(left: &Table, right: &Table) -> Result<Table> {
 /// Bag intersection: min of the multiplicities.
 fn intersection(left: &Table, right: &Table) -> Result<Table> {
     let right = aligned(left, right)?;
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts: HashMap<RowKey, usize> = HashMap::new();
     for row in right.rows() {
-        *counts.entry(tuple_key(row.iter())).or_insert(0) += 1;
+        *counts.entry(RowKey::row(row)).or_insert(0) += 1;
     }
     let mut out = Table::empty(left.schema().clone());
     for row in left.rows() {
-        let k = tuple_key(row.iter());
-        if let Some(c) = counts.get_mut(&k) {
+        if let Some(c) = counts.get_mut(&RowKey::row(row)) {
             if *c > 0 {
                 *c -= 1;
                 out.push(row.clone())?;

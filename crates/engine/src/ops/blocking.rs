@@ -1,44 +1,53 @@
-//! Blocking operators: primary-key check, duplicate elimination, group-by
-//! aggregation.
+//! Keyed operators: primary-key check, duplicate elimination, group-by
+//! aggregation. Keys follow the one definition of key equality in
+//! [`crate::ops::key`].
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use etlopt_core::scalar::Scalar;
 use etlopt_core::schema::{Attr, Schema};
 use etlopt_core::semantics::{AggFunc, Aggregation};
 
 use crate::error::{EngineError, Result};
-use crate::ops::tuple_key;
-use crate::table::{Row, Table};
+use crate::ops::key::RowKey;
+use crate::table::{col_of, Row};
 
-/// `PK(key)`: keep the first row per key, drop later violators.
-pub fn pk_check(key: &[Attr], input: &Table) -> Result<Table> {
-    let cols: Vec<usize> = key.iter().map(|a| input.col(a)).collect::<Result<_>>()?;
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut out = Table::empty(input.schema().clone());
-    for row in input.rows() {
-        let k = tuple_key(cols.iter().map(|&i| &row[i]));
-        if let Entry::Vacant(e) = seen.entry(k) {
-            e.insert(());
-            out.push(row.clone())?;
-        }
-    }
-    Ok(out)
+/// Keep-first filtering with a seen-set that persists across batches:
+/// `PK(key)` keeps the first row per key, `DD()` the first of each whole
+/// row.
+pub(crate) struct KeepFirst {
+    /// Key columns, or `None` for whole-row dedup.
+    cols: Option<Vec<usize>>,
+    seen: HashSet<RowKey>,
 }
 
-/// `DD()`: whole-row duplicate elimination, keeping first occurrences.
-pub fn dedup(input: &Table) -> Result<Table> {
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut out = Table::empty(input.schema().clone());
-    for row in input.rows() {
-        let k = tuple_key(row.iter());
-        if let Entry::Vacant(e) = seen.entry(k) {
-            e.insert(());
-            out.push(row.clone())?;
+impl KeepFirst {
+    /// Keep-first on `cols` (`None`: the whole row).
+    pub(crate) fn on(cols: Option<Vec<usize>>) -> KeepFirst {
+        KeepFirst {
+            cols,
+            seen: HashSet::new(),
         }
     }
-    Ok(out)
+
+    /// `PK(key)` over `input`.
+    pub(crate) fn pk(key: &[Attr], input: &Schema) -> Result<KeepFirst> {
+        let cols = key
+            .iter()
+            .map(|a| col_of(input, a))
+            .collect::<Result<_>>()?;
+        Ok(KeepFirst::on(Some(cols)))
+    }
+
+    /// `DD()`.
+    pub(crate) fn dedup() -> KeepFirst {
+        KeepFirst::on(None)
+    }
+
+    /// Is `row` the first of its key? Records it either way.
+    pub(crate) fn admit(&mut self, row: &Row) -> bool {
+        self.seen.insert(RowKey::on(row, self.cols.as_deref()))
+    }
 }
 
 /// Accumulator for one aggregate column.
@@ -122,39 +131,36 @@ impl Acc {
 /// Incremental state for `γ(group_by; aggregates)`: groups accumulate
 /// across [`AggState::feed`] calls (the streaming runtime feeds one batch
 /// at a time), and [`AggState::finish`] emits groupers then aggregate
-/// outputs, groups in first-appearance order (deterministic). Feeding the
-/// whole input in one call is exactly the blocking [`aggregate`].
-#[derive(Debug)]
+/// outputs, groups in first-appearance order (deterministic).
 pub(crate) struct AggState {
     agg: Aggregation,
     group_cols: Vec<usize>,
     agg_cols: Vec<usize>,
-    order: Vec<String>,
-    groups: HashMap<String, (Row, Vec<Acc>)>,
+    /// Group key → position in `groups`.
+    index: HashMap<RowKey, usize>,
+    /// Grouper values and accumulators, in first-appearance order.
+    groups: Vec<(Row, Vec<Acc>)>,
 }
 
 impl AggState {
     /// Resolve the grouping and aggregate columns against the input schema.
     pub(crate) fn new(agg: &Aggregation, input_schema: &Schema) -> Result<Self> {
-        // Column resolution goes through an empty table so missing
-        // attributes raise the same error the blocking path raises.
-        let probe = Table::empty(input_schema.clone());
         let group_cols: Vec<usize> = agg
             .group_by
             .iter()
-            .map(|a| probe.col(a))
+            .map(|a| col_of(input_schema, a))
             .collect::<Result<_>>()?;
         let agg_cols: Vec<usize> = agg
             .aggregates
             .iter()
-            .map(|s| probe.col(&s.input))
+            .map(|s| col_of(input_schema, &s.input))
             .collect::<Result<_>>()?;
         Ok(AggState {
             agg: agg.clone(),
             group_cols,
             agg_cols,
-            order: Vec::new(),
-            groups: HashMap::new(),
+            index: HashMap::new(),
+            groups: Vec::new(),
         })
     }
 
@@ -167,27 +173,29 @@ impl AggState {
         out
     }
 
-    /// Fold one row into its group.
-    pub(crate) fn feed_row(&mut self, row: &Row) -> Result<()> {
-        let k = tuple_key(self.group_cols.iter().map(|&i| &row[i]));
-        let entry = match self.groups.entry(k.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.order.push(k);
-                let key_row: Row = self.group_cols.iter().map(|&i| row[i].clone()).collect();
-                let accs = self
-                    .agg
-                    .aggregates
-                    .iter()
-                    .map(|s| Acc::new(s.func))
-                    .collect();
-                e.insert((key_row, accs))
-            }
-        };
-        for (acc, &col) in entry.1.iter_mut().zip(self.agg_cols.iter()) {
+    /// Fold one row into its group; `true` when the row opened a new
+    /// group.
+    pub(crate) fn feed_row(&mut self, row: &Row) -> Result<bool> {
+        let next = self.groups.len();
+        let g = *self
+            .index
+            .entry(RowKey::cols(row, &self.group_cols))
+            .or_insert(next);
+        let opened = g == next;
+        if opened {
+            let key_row: Row = self.group_cols.iter().map(|&i| row[i].clone()).collect();
+            let accs = self
+                .agg
+                .aggregates
+                .iter()
+                .map(|s| Acc::new(s.func))
+                .collect();
+            self.groups.push((key_row, accs));
+        }
+        for (acc, &col) in self.groups[g].1.iter_mut().zip(self.agg_cols.iter()) {
             acc.feed(&row[col])?;
         }
-        Ok(())
+        Ok(opened)
     }
 
     /// Fold a batch of rows.
@@ -198,33 +206,44 @@ impl AggState {
         Ok(())
     }
 
-    /// Emit the aggregated table.
-    pub(crate) fn finish(self) -> Result<Table> {
-        let mut out = Table::empty(self.output_schema());
-        for k in &self.order {
-            let (key_row, accs) = &self.groups[k];
-            let mut row = key_row.clone();
-            for acc in accs {
-                row.push(acc.finish());
-            }
-            out.push(row)?;
-        }
-        Ok(out)
+    /// Emit one row per group (groupers then aggregate outputs), in
+    /// first-appearance order, leaving the state empty.
+    pub(crate) fn finish(&mut self) -> Result<Vec<Row>> {
+        self.index.clear();
+        Ok(std::mem::take(&mut self.groups)
+            .into_iter()
+            .map(|(mut row, accs)| {
+                row.extend(accs.iter().map(Acc::finish));
+                row
+            })
+            .collect())
     }
-}
-
-/// `γ(group_by; aggregates)`: output schema is groupers then aggregate
-/// outputs, groups emitted in first-appearance order (deterministic).
-pub fn aggregate(agg: &Aggregation, input: &Table) -> Result<Table> {
-    let mut state = AggState::new(agg, input.schema())?;
-    state.feed(input.rows())?;
-    state.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Table;
     use etlopt_core::semantics::AggSpec;
+
+    fn keep_first(mut k: KeepFirst, t: &Table) -> Result<Table> {
+        let rows = t.rows().iter().filter(|r| k.admit(r)).cloned().collect();
+        Table::from_rows(t.schema().clone(), rows)
+    }
+
+    fn pk_check(key: &[Attr], t: &Table) -> Result<Table> {
+        keep_first(KeepFirst::pk(key, t.schema())?, t)
+    }
+
+    fn dedup(t: &Table) -> Result<Table> {
+        keep_first(KeepFirst::dedup(), t)
+    }
+
+    fn aggregate(agg: &Aggregation, t: &Table) -> Result<Table> {
+        let mut state = AggState::new(agg, t.schema())?;
+        state.feed(t.rows())?;
+        Table::from_rows(state.output_schema(), state.finish()?)
+    }
 
     fn sample() -> Table {
         Table::from_rows(

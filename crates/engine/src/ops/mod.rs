@@ -9,18 +9,20 @@
 
 mod binary;
 mod blocking;
-mod surrogate;
+pub(crate) mod key;
 mod unary;
 
 pub use binary::exec_binary;
-pub(crate) use blocking::AggState;
+pub(crate) use blocking::{AggState, KeepFirst};
+pub(crate) use unary::RowOp;
 
+use etlopt_core::schema::Schema;
 use etlopt_core::semantics::UnaryOp;
 
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::functions::FunctionRegistry;
-use crate::table::Table;
+use crate::table::{Row, Table};
 
 /// Shared execution context.
 pub struct ExecCtx<'a> {
@@ -33,48 +35,86 @@ pub struct ExecCtx<'a> {
     pub auto_lookup: bool,
 }
 
-/// Execute one unary operation.
-pub fn exec_unary(op: &UnaryOp, input: &Table, ctx: &ExecCtx<'_>) -> Result<Table> {
-    match op {
-        UnaryOp::Filter { predicate, .. } => unary::filter(predicate, input),
-        UnaryOp::NotNull { attr, .. } => unary::not_null(attr, input),
-        UnaryOp::Function(f) => unary::function(f, input, ctx),
-        UnaryOp::ProjectOut(attrs) => unary::project_out(attrs, input),
-        UnaryOp::AddField { attr, value } => unary::add_field(attr, value, input),
-        UnaryOp::PkCheck { key, .. } => blocking::pk_check(key, input),
-        UnaryOp::Dedup { .. } => blocking::dedup(input),
-        UnaryOp::Aggregate { agg, .. } => blocking::aggregate(agg, input),
-        UnaryOp::SurrogateKey {
-            key,
-            surrogate,
-            lookup,
-        } => surrogate::surrogate_key(key, surrogate, lookup, input, ctx),
+/// One unary operator bound to its input schema: the single
+/// implementation the materializing executor and the streaming pipeline
+/// both run, batch by batch.
+pub(crate) enum Stage {
+    /// Filters and row rewrites.
+    Row(RowOp),
+    /// PK check and dedup (the output schema is the input schema).
+    KeepFirst(KeepFirst, Schema),
+    /// Group-by aggregation: blocking, emits on [`Stage::finish`].
+    Aggregate(AggState),
+}
+
+impl Stage {
+    /// Bind `op` to `input`, raising schema errors up front.
+    pub(crate) fn bind(op: &UnaryOp, input: &Schema, ctx: &ExecCtx<'_>) -> Result<Stage> {
+        Ok(match op {
+            UnaryOp::PkCheck { key, .. } => {
+                Stage::KeepFirst(KeepFirst::pk(key, input)?, input.clone())
+            }
+            UnaryOp::Dedup { .. } => Stage::KeepFirst(KeepFirst::dedup(), input.clone()),
+            UnaryOp::Aggregate { agg, .. } => Stage::Aggregate(AggState::new(agg, input)?),
+            _ => Stage::Row(RowOp::bind(op, input, ctx)?),
+        })
     }
+
+    /// The output schema.
+    pub(crate) fn schema(&self) -> Schema {
+        match self {
+            Stage::Row(r) => r.schema().clone(),
+            Stage::KeepFirst(_, schema) => schema.clone(),
+            Stage::Aggregate(a) => a.output_schema(),
+        }
+    }
+
+    /// Does the stage hold its output until the input is exhausted?
+    pub(crate) fn is_blocking(&self) -> bool {
+        matches!(self, Stage::Aggregate(_))
+    }
+
+    /// Push one batch of owned rows through, in order. A blocking stage
+    /// folds them in and returns nothing.
+    pub(crate) fn push(&mut self, rows: Vec<Row>, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+        match self {
+            Stage::Row(r) => r.apply_all(rows, ctx),
+            Stage::KeepFirst(k, _) => Ok(rows.into_iter().filter(|r| k.admit(r)).collect()),
+            Stage::Aggregate(a) => {
+                a.feed(&rows)?;
+                Ok(Vec::new())
+            }
+        }
+    }
+
+    /// The rows a blocking stage emits once its input is exhausted
+    /// (nothing for the others).
+    pub(crate) fn finish(&mut self) -> Result<Vec<Row>> {
+        match self {
+            Stage::Aggregate(a) => a.finish(),
+            _ => Ok(Vec::new()),
+        }
+    }
+}
+
+/// Execute one unary operation, consuming its input.
+pub fn exec_unary(op: &UnaryOp, input: Table, ctx: &ExecCtx<'_>) -> Result<Table> {
+    let mut stage = Stage::bind(op, input.schema(), ctx)?;
+    let mut rows = stage.push(input.into_rows(), ctx)?;
+    rows.extend(stage.finish()?);
+    Table::from_rows(stage.schema(), rows)
 }
 
 /// Execute a chain of unary operations (a merged activity), returning the
 /// final table and the total number of rows processed across the links.
-pub fn exec_chain(chain: &[UnaryOp], input: &Table, ctx: &ExecCtx<'_>) -> Result<(Table, u64)> {
-    let mut cur = input.clone();
+pub fn exec_chain(chain: &[UnaryOp], input: Table, ctx: &ExecCtx<'_>) -> Result<(Table, u64)> {
+    let mut cur = input;
     let mut processed = 0u64;
     for op in chain {
         processed += cur.len() as u64;
-        cur = exec_unary(op, &cur, ctx)?;
+        cur = exec_unary(op, cur, ctx)?;
     }
     Ok((cur, processed))
-}
-
-/// Canonical key string for a tuple of values (used for grouping, dedup and
-/// bag arithmetic). The unit separator keeps composite keys unambiguous.
-pub(crate) fn tuple_key<'a>(
-    values: impl Iterator<Item = &'a etlopt_core::scalar::Scalar>,
-) -> String {
-    let mut out = String::new();
-    for v in values {
-        out.push_str(&crate::catalog::canonical_key(v));
-        out.push('\u{1f}');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -102,16 +142,8 @@ mod tests {
             UnaryOp::filter(Predicate::ge("v", 5)),
             UnaryOp::filter(Predicate::ge("v", 8)),
         ];
-        let (out, processed) = exec_chain(&chain, &t, &ctx).unwrap();
+        let (out, processed) = exec_chain(&chain, t, &ctx).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(processed, 10 + 5);
-    }
-
-    #[test]
-    fn tuple_key_distinguishes_boundaries() {
-        use etlopt_core::scalar::Scalar;
-        let a = [Scalar::from("ab"), Scalar::from("c")];
-        let b = [Scalar::from("a"), Scalar::from("bc")];
-        assert_ne!(tuple_key(a.iter()), tuple_key(b.iter()));
     }
 }

@@ -22,6 +22,17 @@ pub fn row_cmp(a: &Row, b: &Row) -> Ordering {
     a.len().cmp(&b.len())
 }
 
+/// Column index of `attr` in `schema`, or the engine's missing-attribute
+/// error.
+pub(crate) fn col_of(schema: &Schema, attr: &Attr) -> Result<usize> {
+    schema
+        .index_of(attr)
+        .ok_or_else(|| EngineError::MissingAttribute {
+            attr: attr.name().to_owned(),
+            context: format!("table schema {schema}"),
+        })
+}
+
 /// A bag of rows under a schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -93,12 +104,7 @@ impl Table {
 
     /// Column index of an attribute.
     pub fn col(&self, attr: &Attr) -> Result<usize> {
-        self.schema
-            .index_of(attr)
-            .ok_or_else(|| EngineError::MissingAttribute {
-                attr: attr.name().to_owned(),
-                context: format!("table schema {}", self.schema),
-            })
+        col_of(&self.schema, attr)
     }
 
     /// The value of `attr` in `row`.
@@ -119,6 +125,31 @@ impl Table {
             .rows
             .iter()
             .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
+            .collect();
+        Ok(Table {
+            schema: target.clone(),
+            rows,
+        })
+    }
+
+    /// [`Table::reordered`], consuming the table: values move into their
+    /// new positions instead of being cloned.
+    pub(crate) fn into_reordered(self, target: &Schema) -> Result<Table> {
+        if &self.schema == target {
+            return Ok(self);
+        }
+        let idx = target
+            .iter()
+            .map(|a| self.col(a))
+            .collect::<Result<Vec<usize>>>()?;
+        let rows = self
+            .rows
+            .into_iter()
+            .map(|mut r| {
+                idx.iter()
+                    .map(|&i| std::mem::replace(&mut r[i], Scalar::Null))
+                    .collect()
+            })
             .collect();
         Ok(Table {
             schema: target.clone(),

@@ -52,11 +52,11 @@ fn filter_distributes_over_union() {
         with_ctx(|ctx| {
             let sel = UnaryOp::filter(Predicate::gt("v", 7));
             let joint =
-                exec_unary(&sel, &exec_binary(&BinaryOp::Union, &a, &b).unwrap(), ctx).unwrap();
+                exec_unary(&sel, exec_binary(&BinaryOp::Union, &a, &b).unwrap(), ctx).unwrap();
             let split = exec_binary(
                 &BinaryOp::Union,
-                &exec_unary(&sel, &a, ctx).unwrap(),
-                &exec_unary(&sel, &b, ctx).unwrap(),
+                &exec_unary(&sel, a.clone(), ctx).unwrap(),
+                &exec_unary(&sel, b.clone(), ctx).unwrap(),
             )
             .unwrap();
             assert!(joint.same_bag(&split).unwrap(), "seed {seed}");
@@ -73,11 +73,11 @@ fn filter_distributes_over_difference_and_intersection() {
         with_ctx(|ctx| {
             let sel = UnaryOp::filter(Predicate::le("v", 10));
             for op in [BinaryOp::Difference, BinaryOp::Intersection] {
-                let joint = exec_unary(&sel, &exec_binary(&op, &a, &b).unwrap(), ctx).unwrap();
+                let joint = exec_unary(&sel, exec_binary(&op, &a, &b).unwrap(), ctx).unwrap();
                 let split = exec_binary(
                     &op,
-                    &exec_unary(&sel, &a, ctx).unwrap(),
-                    &exec_unary(&sel, &b, ctx).unwrap(),
+                    &exec_unary(&sel, a.clone(), ctx).unwrap(),
+                    &exec_unary(&sel, b.clone(), ctx).unwrap(),
                 )
                 .unwrap();
                 assert!(joint.same_bag(&split).unwrap(), "seed {seed} {op:?}");
@@ -95,16 +95,12 @@ fn injective_function_distributes_over_difference() {
         let (a, b) = (table_kv(&mut rng), table_kv(&mut rng));
         with_ctx(|ctx| {
             let f = UnaryOp::function("negate", ["v"], "nv");
-            let joint = exec_unary(
-                &f,
-                &exec_binary(&BinaryOp::Difference, &a, &b).unwrap(),
-                ctx,
-            )
-            .unwrap();
+            let joint =
+                exec_unary(&f, exec_binary(&BinaryOp::Difference, &a, &b).unwrap(), ctx).unwrap();
             let split = exec_binary(
                 &BinaryOp::Difference,
-                &exec_unary(&f, &a, ctx).unwrap(),
-                &exec_unary(&f, &b, ctx).unwrap(),
+                &exec_unary(&f, a.clone(), ctx).unwrap(),
+                &exec_unary(&f, b.clone(), ctx).unwrap(),
             )
             .unwrap();
             assert!(joint.same_bag(&split).unwrap(), "seed {seed}");
@@ -121,8 +117,8 @@ fn filter_commutes_with_dedup() {
         with_ctx(|ctx| {
             let sel = UnaryOp::filter(Predicate::gt("v", 5));
             let dd = UnaryOp::Dedup { selectivity: 1.0 };
-            let fd = exec_unary(&dd, &exec_unary(&sel, &a, ctx).unwrap(), ctx).unwrap();
-            let df = exec_unary(&sel, &exec_unary(&dd, &a, ctx).unwrap(), ctx).unwrap();
+            let fd = exec_unary(&dd, exec_unary(&sel, a.clone(), ctx).unwrap(), ctx).unwrap();
+            let df = exec_unary(&sel, exec_unary(&dd, a.clone(), ctx).unwrap(), ctx).unwrap();
             assert!(fd.same_bag(&df).unwrap(), "seed {seed}");
         });
     }
@@ -141,8 +137,8 @@ fn key_filter_commutes_with_pk_check() {
                 key: vec![Attr::new("k")],
                 selectivity: 1.0,
             };
-            let fp = exec_unary(&pk, &exec_unary(&sel, &a, ctx).unwrap(), ctx).unwrap();
-            let pf = exec_unary(&sel, &exec_unary(&pk, &a, ctx).unwrap(), ctx).unwrap();
+            let fp = exec_unary(&pk, exec_unary(&sel, a.clone(), ctx).unwrap(), ctx).unwrap();
+            let pf = exec_unary(&sel, exec_unary(&pk, a.clone(), ctx).unwrap(), ctx).unwrap();
             assert!(fp.same_bag(&pf).unwrap(), "seed {seed}");
         });
     }
@@ -157,8 +153,8 @@ fn grouper_filter_commutes_with_aggregation() {
         with_ctx(|ctx| {
             let sel = UnaryOp::filter(Predicate::le("k", 12));
             let agg = UnaryOp::aggregate(Aggregation::sum(["k"], "v", "total"));
-            let fa = exec_unary(&agg, &exec_unary(&sel, &a, ctx).unwrap(), ctx).unwrap();
-            let af = exec_unary(&sel, &exec_unary(&agg, &a, ctx).unwrap(), ctx).unwrap();
+            let fa = exec_unary(&agg, exec_unary(&sel, a.clone(), ctx).unwrap(), ctx).unwrap();
+            let af = exec_unary(&sel, exec_unary(&agg, a.clone(), ctx).unwrap(), ctx).unwrap();
             assert!(fa.same_bag(&af).unwrap(), "seed {seed}");
         });
     }

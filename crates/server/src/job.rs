@@ -366,9 +366,9 @@ fn execute_body(
     let cache = family.cache(eff.rows, req.seed, catalog_digest(wf, &catalog));
     let (h0, m0, i0) = cache.counters();
     let exec = Executor::new(catalog);
-    let run = exec
-        .run_stream_shared(&outcome.best, &cache)
-        .map_err(|e| format!("execute: {e}"))?;
+    let run = exec.run_stream_shared(&outcome.best, &cache);
+    registry.enforce_cache_budget();
+    let run = run.map_err(|e| format!("execute: {e}"))?;
     let (h1, m1, i1) = cache.counters();
     meta.cache_hits = h1.saturating_sub(h0);
     meta.cache_misses = m1.saturating_sub(m0);

@@ -19,7 +19,12 @@
 //!   *different* per-source data. Keying by a digest of the generated
 //!   tables themselves ([`crate::job::catalog_digest`]) means sharing
 //!   happens exactly when the data is bit-identical, and is then safely
-//!   process-wide across tenants.
+//!   process-wide across tenants. All of a registry's result caches share
+//!   one row budget, [`SharedCache::DEFAULT_MAX_ROWS`]: past it, whole
+//!   least-recently-used caches are evicted. Eviction can only turn a
+//!   later hit into a miss, and a cache never reaches a response body
+//!   (cached and recomputed intermediates are bit-identical), so bodies
+//!   do not change; only `meta` and the `stats` gauges do.
 //! * **Calibration** is keyed by (tenant, family digest) and is the one
 //!   layer that is *not* shared across tenants: calibration stores
 //!   observed selectivities, which feed back into costing. One tenant's
@@ -86,21 +91,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared optimizer state for one workflow family: the move memo and the
-/// per-(rows, seed, catalog digest) result caches.
+/// Shared optimizer state for one workflow family: the move memo and a
+/// view of the registry's result caches for this family.
 pub struct Family {
+    digest: u128,
     memo: Arc<MoveMemo>,
-    caches: Mutex<HashMap<(usize, u64, u64), SharedCacheHandle>>,
+    caches: Arc<Caches>,
 }
 
 impl Family {
-    fn new() -> Family {
-        Family {
-            memo: Arc::new(MoveMemo::new()),
-            caches: Mutex::new(HashMap::new()),
-        }
-    }
-
     /// The family's shared move memo.
     pub fn memo(&self) -> Arc<MoveMemo> {
         Arc::clone(&self.memo)
@@ -111,25 +110,97 @@ impl Family {
     /// catalog ([`crate::job::catalog_digest`]): datagen is
     /// declaration-order-sensitive while the family digest is not, so
     /// (rows, seed) alone could alias two different datasets and serve
-    /// cached intermediates under the wrong catalog.
+    /// cached intermediates under the wrong catalog. A touch makes the
+    /// cache the registry's most recently used one.
     pub fn cache(&self, rows: usize, seed: u64, data: u64) -> SharedCacheHandle {
-        let mut caches = self.caches.lock().expect("family cache map poisoned");
-        caches
-            .entry((rows, seed, data))
-            .or_insert_with(|| SharedCacheHandle::new(SharedCache::new()))
-            .clone()
+        self.caches.touch((self.digest, rows, seed, data))
+    }
+}
+
+/// A result cache's identity: (family digest, rows, seed, catalog digest).
+type CacheKey = (u128, usize, u64, u64);
+
+/// Every result cache of one registry, bounded together by total cached
+/// rows with whole-cache LRU eviction.
+struct Caches {
+    max_rows: usize,
+    lru: Mutex<CacheLru>,
+}
+
+#[derive(Default)]
+struct CacheLru {
+    /// Logical clock stamping each touch.
+    clock: u64,
+    /// Live caches and their last-touch stamps.
+    live: HashMap<CacheKey, (SharedCacheHandle, u64)>,
+    /// Caches evicted so far.
+    evicted: u64,
+    /// `(hits, misses, insertions)` of evicted caches as of eviction, so
+    /// the registry totals never go backwards.
+    retired: (u64, u64, u64),
+}
+
+impl Caches {
+    fn new(max_rows: usize) -> Caches {
+        Caches {
+            max_rows,
+            lru: Mutex::new(CacheLru::default()),
+        }
     }
 
-    fn cache_totals(&self) -> (usize, u64, u64, u64) {
-        let caches = self.caches.lock().expect("family cache map poisoned");
-        let mut totals = (caches.len(), 0, 0, 0);
-        for handle in caches.values() {
+    fn touch(&self, key: CacheKey) -> SharedCacheHandle {
+        let mut lru = self.lru.lock().expect("cache registry poisoned");
+        lru.clock += 1;
+        let stamp = lru.clock;
+        let entry = lru
+            .live
+            .entry(key)
+            .or_insert_with(|| (SharedCacheHandle::new(SharedCache::new()), stamp));
+        entry.1 = stamp;
+        let handle = entry.0.clone();
+        lru.enforce(self.max_rows);
+        handle
+    }
+
+    fn enforce(&self) {
+        self.lru
+            .lock()
+            .expect("cache registry poisoned")
+            .enforce(self.max_rows);
+    }
+}
+
+impl CacheLru {
+    fn cached_rows(&self) -> usize {
+        self.live.values().map(|(h, _)| h.cached_rows()).sum()
+    }
+
+    /// Evict least-recently-used caches until the live ones fit
+    /// `max_rows`. The most recently used cache is never evicted: one
+    /// cache alone fits, since each is itself bounded by the same budget.
+    /// A job still holding an evicted cache's handle finishes against it
+    /// normally; it just no longer counts here.
+    fn enforce(&mut self, max_rows: usize) {
+        let mut rows = self.cached_rows();
+        while rows > max_rows && self.live.len() > 1 {
+            let Some(oldest) = self
+                .live
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            let Some((handle, _)) = self.live.remove(&oldest) else {
+                break;
+            };
+            rows -= handle.cached_rows();
             let (h, m, i) = handle.counters();
-            totals.1 += h;
-            totals.2 += m;
-            totals.3 += i;
+            self.retired.0 += h;
+            self.retired.1 += m;
+            self.retired.2 += i;
+            self.evicted += 1;
         }
-        totals
     }
 }
 
@@ -143,6 +214,7 @@ pub struct Registry {
     cfg: ServerConfig,
     families: Mutex<HashMap<u128, Arc<Family>>>,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
+    caches: Arc<Caches>,
 }
 
 impl Registry {
@@ -152,6 +224,7 @@ impl Registry {
             cfg,
             families: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
+            caches: Arc::new(Caches::new(SharedCache::DEFAULT_MAX_ROWS)),
         }
     }
 
@@ -163,11 +236,19 @@ impl Registry {
     /// The shared state for one workflow family, created on first touch.
     pub fn family(&self, digest: u128) -> Arc<Family> {
         let mut families = self.families.lock().expect("family map poisoned");
-        Arc::clone(
-            families
-                .entry(digest)
-                .or_insert_with(|| Arc::new(Family::new())),
-        )
+        Arc::clone(families.entry(digest).or_insert_with(|| {
+            Arc::new(Family {
+                digest,
+                memo: Arc::new(MoveMemo::new()),
+                caches: Arc::clone(&self.caches),
+            })
+        }))
+    }
+
+    /// Re-apply the result-cache row budget after a run has filled a
+    /// cache (touching a cache applies it too).
+    pub(crate) fn enforce_cache_budget(&self) {
+        self.caches.enforce();
     }
 
     /// The calibration store for (tenant, family), created on first
@@ -217,31 +298,37 @@ impl Registry {
     }
 
     /// Registry statistics as a JSON object line (the `stats` op).
+    /// Cache hit/miss/insertion totals include evicted caches, so they
+    /// never decrease.
     pub fn stats_json(&self) -> String {
         let families = self.families.lock().expect("family map poisoned");
-        let mut caches = 0usize;
-        let (mut hits, mut misses, mut insertions) = (0u64, 0u64, 0u64);
         let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
         for fam in families.values() {
-            let (n, h, m, i) = fam.cache_totals();
-            caches += n;
-            hits += h;
-            misses += m;
-            insertions += i;
             let (mh, mm) = fam.memo.stats();
             memo_hits += mh;
             memo_misses += mm;
         }
         let tenants = self.tenants.lock().expect("tenant map poisoned").len();
+        let lru = self.caches.lru.lock().expect("cache registry poisoned");
+        let (mut hits, mut misses, mut insertions) = lru.retired;
+        for (handle, _) in lru.live.values() {
+            let (h, m, i) = handle.counters();
+            hits += h;
+            misses += m;
+            insertions += i;
+        }
         format!(
             concat!(
                 "{{\"op\":\"stats\",\"families\":{},\"tenants\":{},\"caches\":{},",
+                "\"cached_rows\":{},\"evicted_caches\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_insertions\":{},",
                 "\"memo_hits\":{},\"memo_misses\":{}}}"
             ),
             families.len(),
             tenants,
-            caches,
+            lru.live.len(),
+            lru.cached_rows(),
+            lru.evicted,
             hits,
             misses,
             insertions,
@@ -289,6 +376,68 @@ mod tests {
         );
     }
 
+    fn fill(handle: &SharedCacheHandle, key: u128, rows: usize) {
+        let table = etlopt_engine::Table::from_rows(
+            etlopt_core::schema::Schema::of(["x"]),
+            (0..rows).map(|i| vec![(i as i64).into()]).collect(),
+        )
+        .unwrap();
+        handle.with_cache(|c| {
+            c.get(key);
+            c.insert(key, Arc::new(table));
+        });
+    }
+
+    #[test]
+    fn caches_share_one_row_budget_with_lru_eviction() {
+        let caches = Caches::new(10);
+        let key = |seed| (1u128, 64usize, seed, 0u64);
+        let a = caches.touch(key(1));
+        fill(&a, 1, 6);
+        let b = caches.touch(key(2));
+        fill(&b, 2, 3);
+        // Re-touching `a` makes `b` the least recently used.
+        caches.touch(key(1));
+        let c = caches.touch(key(3));
+        fill(&c, 3, 4);
+        caches.enforce();
+        let lru = caches.lru.lock().unwrap();
+        assert_eq!(lru.evicted, 1);
+        assert!(lru.live.contains_key(&key(1)) && lru.live.contains_key(&key(3)));
+        assert!(!lru.live.contains_key(&key(2)), "LRU cache b is evicted");
+        assert_eq!(lru.cached_rows(), 10);
+        // The evicted cache's counters moved into the retired totals.
+        assert_eq!(lru.retired, (0, 1, 1));
+    }
+
+    #[test]
+    fn evicted_handle_keeps_working_but_no_longer_counts() {
+        let caches = Caches::new(5);
+        let key = |seed| (1u128, 64usize, seed, 0u64);
+        let held = caches.touch(key(1));
+        fill(&held, 1, 5);
+        let other = caches.touch(key(2));
+        fill(&other, 2, 5);
+        caches.enforce();
+        // A job still holding the evicted handle inserts into it...
+        fill(&held, 9, 2);
+        assert_eq!(held.cached_rows(), 7);
+        // ...but only the live cache is accounted.
+        let lru = caches.lru.lock().unwrap();
+        assert_eq!(lru.live.len(), 1);
+        assert_eq!(lru.cached_rows(), 5);
+        assert_eq!(lru.retired, (0, 1, 1), "totals frozen at eviction");
+    }
+
+    #[test]
+    fn most_recent_cache_is_never_evicted() {
+        let caches = Caches::new(3);
+        let only = caches.touch((1, 64, 1, 0));
+        fill(&only, 1, 4);
+        caches.enforce();
+        assert_eq!(caches.lru.lock().unwrap().live.len(), 1);
+    }
+
     #[test]
     fn calibration_is_tenant_scoped() {
         use etlopt_core::opt::adaptive::{CalEntry, Calibration};
@@ -318,9 +467,12 @@ mod tests {
             v.get("tenants").and_then(crate::json::Value::as_u64),
             Some(1)
         );
-        assert_eq!(
-            v.get("caches").and_then(crate::json::Value::as_u64),
-            Some(1)
-        );
+        for (key, want) in [("caches", 1), ("cached_rows", 0), ("evicted_caches", 0)] {
+            assert_eq!(
+                v.get(key).and_then(crate::json::Value::as_u64),
+                Some(want),
+                "{key}"
+            );
+        }
     }
 }

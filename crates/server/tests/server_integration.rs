@@ -266,12 +266,16 @@ fn admission_control_rejects_with_typed_429_not_dropped_connections() {
     let fast_wf = workflow_text(77, SizeCategory::Small);
 
     std::thread::scope(|scope| {
-        // Occupy the worker with a slow adaptive job.
+        // Occupy the worker with a slow adaptive job. Exhaustive search
+        // over 6k states in every round keeps it busy for seconds, well past
+        // the flood below, however fast the engine executes its plans.
         let slow = {
             let server = &server;
             let wf = slow_wf.clone();
             scope.spawn(move || {
                 let mut req = request("slow", Op::Adaptive, &wf);
+                req.algo = "es".to_owned();
+                req.states = 6_000;
                 req.rows = 512;
                 req.rounds = 8;
                 roundtrip(server, &req)
@@ -393,4 +397,129 @@ fn shutdown_drains_in_flight_jobs_and_refuses_late_arrivals() {
         "{log}"
     );
     assert!(log.contains("worker 0:"), "{log}");
+}
+
+/// The `stats` op's integer fields.
+fn stats(server: &Server) -> json::Value {
+    let resp = roundtrip(server, &request("stats", Op::Stats, ""));
+    assert_eq!(resp.code, Code::Ok, "{}", resp.error);
+    json::parse(&resp.body).expect("parse stats body")
+}
+
+fn stat(v: &json::Value, key: &str) -> u64 {
+    v.get(key)
+        .and_then(json::Value::as_u64)
+        .unwrap_or_else(|| panic!("stats missing {key}"))
+}
+
+#[test]
+fn result_caches_share_one_row_budget_without_changing_bodies() {
+    use etlopt_engine::SharedCache;
+    // Large enough that a dozen distinct datasets overflow the registry's
+    // row budget, so whole caches must be evicted along the way.
+    const ROWS: usize = 65_536;
+    const DISTINCT: u64 = 12;
+    let config = || ServerConfig {
+        workers: 2,
+        max_rows: ROWS,
+        ..ServerConfig::default()
+    };
+    let server = spawn(config()).expect("spawn server");
+    let wf = text::render(&etlopt_workload::scenarios::fig1()).expect("render fig1");
+    let execute = |id: &str, seed: u64| {
+        let mut req = request(id, Op::Execute, &wf);
+        req.algo = "beam".to_owned();
+        req.rows = ROWS;
+        req.seed = seed;
+        req
+    };
+    let distinct: Vec<Request> = (0..DISTINCT)
+        .map(|i| execute(&format!("d{i}"), 7000 + i))
+        .collect();
+
+    // Two clients keep both workers busy with distinct cache keys while a
+    // third polls `stats`: cache totals must never go backwards, however
+    // the evictions interleave with running jobs.
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let bodies: Vec<(usize, String)> = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let keys = [
+                "cache_hits",
+                "cache_misses",
+                "cache_insertions",
+                "evicted_caches",
+            ];
+            let mut last = [0u64; 4];
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let s = stats(&server);
+                for (k, prev) in keys.iter().zip(last.iter_mut()) {
+                    let now = stat(&s, k);
+                    assert!(now >= *prev, "{k} went backwards: {prev} -> {now}");
+                    *prev = now;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        });
+        let clients: Vec<_> = (0..2)
+            .map(|c| {
+                let (server, distinct) = (&server, &distinct);
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+                    let mut out = Vec::new();
+                    for (i, req) in distinct.iter().enumerate().skip(c).step_by(2) {
+                        let resp = roundtrip_on(&stream, req);
+                        assert_eq!(resp.code, Code::Ok, "{}: {}", req.id, resp.error);
+                        out.push((i, resp.body));
+                    }
+                    out
+                })
+            })
+            .collect();
+        let mut bodies: Vec<(usize, String)> = clients
+            .into_iter()
+            .flat_map(|h| h.join().expect("client"))
+            .collect();
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        poller.join().expect("stats poller");
+        bodies.sort();
+        bodies
+    });
+
+    let after = stats(&server);
+    assert!(
+        stat(&after, "cached_rows") <= SharedCache::DEFAULT_MAX_ROWS as u64,
+        "cached rows exceed the registry budget: {after:?}"
+    );
+    assert!(
+        stat(&after, "evicted_caches") > 0,
+        "the workload must overflow the budget: {after:?}"
+    );
+    // Every distinct key created exactly one cache; each is either live
+    // or evicted, never both and never counted twice.
+    assert_eq!(
+        stat(&after, "caches") + stat(&after, "evicted_caches"),
+        DISTINCT,
+        "{after:?}"
+    );
+
+    // The most recent dataset's cache survived: its sibling hits it.
+    let last = &distinct[(DISTINCT - 1) as usize];
+    let sibling = roundtrip(&server, &execute("sibling", last.seed));
+    assert_eq!(sibling.code, Code::Ok, "{}", sibling.error);
+    assert!(
+        meta_u64(&sibling, "cache_hits") > 0,
+        "a sibling sent right after must hit the cache: {}",
+        sibling.meta
+    );
+
+    // Eviction never reaches a body: each equals a fresh registry's.
+    for (i, body) in &bodies {
+        let fresh = run_request(&Registry::new(config()), &distinct[*i]);
+        assert_eq!(&fresh.body, body, "request {i} differs from oneshot");
+    }
+    let fresh = run_request(&Registry::new(config()), &execute("sibling", last.seed));
+    assert_eq!(fresh.body, sibling.body, "sibling differs from oneshot");
+
+    server.shutdown();
+    server.join();
 }

@@ -13,6 +13,11 @@
 //! and stats but not timed — its rate is `null` with a
 //! `"skipped: machine_threads = N < T"` note, because timing oversubscribed
 //! workers records scheduler noise, not speedup.
+//!
+//! With `--smoke`, instead of regenerating the file it re-measures the
+//! sequential-stream rate at the largest tier and exits non-zero if it
+//! has regressed more than 30% against the *committed*
+//! `BENCH_engine.json` — the CI perf gate.
 
 use std::time::Instant;
 
@@ -20,6 +25,9 @@ use etlopt::engine::{Backend, Executor};
 use etlopt::workload::scenarios;
 
 const REPS: u32 = 5;
+
+/// The volume tiers, in rows per source.
+const SCALES: [usize; 3] = [1_000, 5_000, 20_000];
 
 /// Rows/sec over a few repetitions, keeping the best run (least noise).
 fn rate(exec: &Executor, wf: &etlopt::core::workflow::Workflow, rows: usize) -> f64 {
@@ -33,6 +41,48 @@ fn rate(exec: &Executor, wf: &etlopt::core::workflow::Workflow, rows: usize) -> 
     best
 }
 
+/// The Fig. 1 catalog at one volume tier.
+fn catalog(scale: usize) -> etlopt::engine::Catalog {
+    scenarios::fig1_catalog(2005, scale / 30 + 10, scale)
+}
+
+/// `stream_rows_per_sec` of one tier in a committed `BENCH_engine.json`.
+fn committed_stream_rate(json: &str, scale: usize) -> Option<f64> {
+    let tier = json.split(&format!("\"scale\": {scale},")).nth(1)?;
+    let val = tier.split("\"stream_rows_per_sec\":").nth(1)?;
+    let num: String = val
+        .trim_start()
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .collect();
+    num.parse().ok()
+}
+
+/// CI perf gate: re-measure the sequential stream on Fig. 1 at the
+/// largest tier and fail on a >30% regression against the committed
+/// baseline.
+fn smoke() {
+    let committed =
+        std::fs::read_to_string("BENCH_engine.json").expect("BENCH_engine.json must be committed");
+    let scale = SCALES[SCALES.len() - 1];
+    let baseline = committed_stream_rate(&committed, scale)
+        .unwrap_or_else(|| panic!("baseline stream rate at scale {scale} in BENCH_engine.json"));
+    let stream = Executor::new(catalog(scale)).with_backend(Backend::Stream);
+    let rate = rate(&stream, &scenarios::fig1(), scale);
+    let floor = baseline * 0.70;
+    if rate < floor {
+        eprintln!(
+            "engine smoke FAILED: scale {scale} stream {rate:.0} rows/sec < 70% of committed \
+             baseline {baseline:.0} (floor {floor:.0})"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "engine smoke ok: scale {scale} stream {rate:.0} rows/sec vs committed baseline \
+         {baseline:.0} (floor {floor:.0})"
+    );
+}
+
 fn json_rate(r: Option<f64>) -> String {
     match r {
         Some(r) => format!("{r:.0}"),
@@ -41,12 +91,16 @@ fn json_rate(r: Option<f64>) -> String {
 }
 
 fn main() {
+    if std::env::args().any(|a| a == "--smoke") {
+        smoke();
+        return;
+    }
     let machine_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let wf = scenarios::fig1();
 
     let mut tiers = Vec::new();
-    for &scale in &[1_000usize, 5_000, 20_000] {
-        let catalog = scenarios::fig1_catalog(2005, scale / 30 + 10, scale);
+    for scale in SCALES {
+        let catalog = catalog(scale);
         let materialize = Executor::new(catalog.clone());
         let stream = Executor::new(catalog.clone()).with_backend(Backend::Stream);
 
