@@ -106,24 +106,6 @@ fn bench_backends(c: &mut Criterion) {
                 &parallel,
                 |b, exec| b.iter(|| exec.run(&wf).unwrap().stats.total()),
             );
-
-            // The same thread count under the round-synchronous
-            // coordinator, so the pipelined-vs-roundsync delta is read
-            // straight off adjacent criterion rows.
-            let roundsync = Executor::new(catalog.clone())
-                .with_backend(Backend::Stream)
-                .with_parallelism(threads)
-                .with_pipeline(false);
-            let run = roundsync.run_stream(&wf).unwrap();
-            assert_eq!(
-                sequential.result.targets, run.result.targets,
-                "roundsync targets diverged at scale {scale}, {threads} threads"
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("stream_roundsync_t{threads}"), scale),
-                &roundsync,
-                |b, exec| b.iter(|| exec.run(&wf).unwrap().stats.total()),
-            );
         }
 
         let run = spilling.run_stream(&wf).unwrap();

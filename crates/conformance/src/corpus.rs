@@ -10,6 +10,7 @@
 use std::time::Instant;
 
 use etlopt_core::cost::RowCountModel;
+use etlopt_core::json;
 use etlopt_core::opt::{
     run_adaptive, AdaptiveConfig, BeamSearch, ExhaustiveSearch, HeuristicSearch, HsGreedy,
     Optimizer, SearchBudget,
@@ -199,11 +200,11 @@ impl CorpusReport {
                 f.kind,
                 f.failures
                     .iter()
-                    .map(|s| format!("\"{}\"", json_escape(s)))
+                    .map(|s| format!("\"{}\"", json::escape(s)))
                     .collect::<Vec<_>>()
                     .join(", "),
                 match &f.repro {
-                    Some(cmd) => format!("\"{}\"", json_escape(cmd)),
+                    Some(cmd) => format!("\"{}\"", json::escape(cmd)),
                     None => "null".to_owned(),
                 },
             ));
@@ -249,10 +250,6 @@ impl CorpusReport {
             failures,
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Run one scenario through all its checks. Each search run's telemetry is

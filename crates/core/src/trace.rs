@@ -505,8 +505,7 @@ pub struct ExecCounters {
     pub worker_rows: Vec<u64>,
     /// Pages written while staging inter-segment partition sets through
     /// the buffer pool (a subset of `pages_appended`). Zero for
-    /// sequential runs and for the legacy round-synchronous coordinator,
-    /// which holds partition sets in memory instead.
+    /// sequential runs.
     pub pages_staged: u64,
     /// Pipelined segment tasks executed by the partition-parallel
     /// branch scheduler.

@@ -26,7 +26,6 @@
 mod cache;
 pub(crate) mod channel;
 pub(crate) mod partition;
-pub(crate) mod roundsync;
 pub(crate) mod stream;
 
 pub use cache::{SharedCache, SharedCacheHandle};
@@ -78,12 +77,6 @@ pub struct StreamConfig {
     /// [`ExecStats`] are identical at every capacity; only scheduling
     /// telemetry (channel high-water, blocked tallies) varies.
     pub channel_batches: usize,
-    /// Select the pipelined partition executor (`true`, default) or the
-    /// legacy round-synchronous coordinator (`false`) above
-    /// `parallelism = 1`. Both are bit-identical to the sequential
-    /// stream; the round-sync path exists as a benchmarking baseline and
-    /// a differential reference.
-    pub pipeline: bool,
 }
 
 impl Default for StreamConfig {
@@ -93,7 +86,6 @@ impl Default for StreamConfig {
             frame_budget: 256,
             parallelism: 1,
             channel_batches: 4,
-            pipeline: true,
         }
     }
 }
@@ -240,11 +232,7 @@ pub(crate) fn run_stream(
     mut cache: Option<&mut SharedCache>,
 ) -> Result<StreamRun> {
     if cfg.parallelism > 1 {
-        return if cfg.pipeline {
-            partition::run_parallel(ctx, wf, cfg, cache)
-        } else {
-            roundsync::run_round_sync(ctx, wf, cfg, cache)
-        };
+        return partition::run_parallel(ctx, wf, cfg, cache);
     }
     let graph = wf.graph();
     let order = graph.topo_order()?;

@@ -1,7 +1,7 @@
 //! Pipelined partition-parallel streaming execution.
 //!
-//! Above `parallelism = 1` (with `StreamConfig::pipeline` on, the
-//! default) the streaming backend runs a **pipelined** partitioned plan:
+//! Above `parallelism = 1` the streaming backend runs a **pipelined**
+//! partitioned plan:
 //!
 //! * **Segments, not rounds.** Planning collapses each maximal
 //!   exchange-free run of unary links into one *segment task*. A
@@ -25,9 +25,7 @@
 //! # The determinism contract
 //!
 //! Targets, row order, and [`ExecStats`] must stay **bit-identical** to
-//! the sequential stream at every thread count and channel capacity.
-//! The machinery is shared with the round-synchronous backend
-//! ([`super::roundsync`]):
+//! the sequential stream at every thread count and channel capacity:
 //!
 //! 1. **Order tags.** Every row carries a `u64` tag recording its
 //!    position in the node's sequential output order. Staged partitions
@@ -58,7 +56,7 @@
 //! channel receiver, which wakes any feeder blocked on the bounded
 //! queue, so poisoned runs fail fast instead of deadlocking.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, OnceLock};
 
@@ -82,16 +80,16 @@ use super::channel::{self, ChannelStats, Receiver, Sender};
 use super::{plan_cache, CachePlan, SharedCache, StreamConfig, StreamRun};
 
 /// A row plus its sequential-order tag.
-pub(super) type Tagged = (u64, Row);
+type Tagged = (u64, Row);
 
-pub(super) fn internal(reason: impl Into<String>) -> EngineError {
+fn internal(reason: impl Into<String>) -> EngineError {
     EngineError::FunctionFailed {
         function: "exec::partition".into(),
         reason: reason.into(),
     }
 }
 
-pub(super) fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
     *map.entry(key.to_owned()).or_insert(0) += n;
 }
 
@@ -101,7 +99,7 @@ pub(super) fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
 
 /// How a set of partitioned rows is distributed across partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(super) enum Scheme {
+enum Scheme {
     /// Hash-partitioned on the listed attributes: two rows agreeing on
     /// them are guaranteed to share a partition.
     Keys(Vec<Attr>),
@@ -114,7 +112,7 @@ impl Scheme {
     /// Does this scheme co-locate rows that agree on `req`? Hashing on a
     /// *subset* of the required keys suffices: equal `req`-values imply
     /// equal subset-values, hence the same partition.
-    pub(super) fn colocates(&self, req: &[Attr]) -> bool {
+    fn colocates(&self, req: &[Attr]) -> bool {
         match self {
             Scheme::Keys(s) => s.iter().all(|a| req.contains(a)),
             Scheme::Arbitrary => false,
@@ -122,35 +120,13 @@ impl Scheme {
     }
 
     /// Is this any key-based scheme (co-locates identical whole rows)?
-    pub(super) fn is_keys(&self) -> bool {
+    fn is_keys(&self) -> bool {
         matches!(self, Scheme::Keys(_))
     }
 }
 
-/// One node output, split across partitions in coordinator memory (the
-/// round-synchronous backend's representation; the pipelined backend
-/// stages through the pool instead — see [`StagedSet`]). Every
-/// partition's rows are tag-ascending; the tag space is node-local.
-#[derive(Debug, Clone)]
-pub(super) struct PartSet {
-    pub(super) schema: Schema,
-    pub(super) scheme: Scheme,
-    pub(super) parts: Vec<Vec<Tagged>>,
-}
-
-pub(super) fn set_rows(set: &PartSet) -> u64 {
-    set.parts.iter().map(|p| p.len() as u64).sum()
-}
-
-pub(super) fn max_tag(set: &PartSet) -> Option<u64> {
-    set.parts
-        .iter()
-        .filter_map(|p| p.last().map(|(t, _)| *t))
-        .max()
-}
-
 /// Co-location demanded by a keyed operator.
-pub(super) enum Require {
+enum Require {
     /// Equal values of these attributes must share a partition.
     Keys(Vec<Attr>),
     /// Identical whole rows must share a partition (any key scheme works).
@@ -162,7 +138,7 @@ pub(super) enum Require {
 // ---------------------------------------------------------------------
 
 /// Render a panic payload as the detail of a typed worker error.
-pub(super) fn panicked(partition: usize, payload: &(dyn std::any::Any + Send)) -> EngineError {
+fn panicked(partition: usize, payload: &(dyn std::any::Any + Send)) -> EngineError {
     let detail = payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -176,7 +152,7 @@ pub(super) fn panicked(partition: usize, payload: &(dyn std::any::Any + Send)) -
 /// and converted into [`EngineError::WorkerPanicked`] instead of
 /// poisoning the scope join. When several workers fail, the lowest
 /// partition index wins — deterministic at any thread count.
-pub(super) fn per_part<R, F>(nparts: usize, f: F) -> Result<Vec<R>>
+fn per_part<R, F>(nparts: usize, f: F) -> Result<Vec<R>>
 where
     R: Send + Sync,
     F: Fn(usize) -> Result<R> + Sync,
@@ -204,150 +180,11 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Merge / exchange (in-memory variants, shared with roundsync)
-// ---------------------------------------------------------------------
-
-/// K-way merge of tag-ascending lanes into one tag-ascending vector.
-/// Tags are unique across lanes, so the merge is a total order.
-pub(super) fn merge_tagged(lanes: Vec<Vec<Tagged>>) -> Vec<Tagged> {
-    let total = lanes.iter().map(Vec::len).sum();
-    let mut src: Vec<VecDeque<Tagged>> = lanes.into_iter().map(Into::into).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, q) in src.iter().enumerate() {
-            if let Some((tag, _)) = q.front() {
-                if best.is_none_or(|(bt, _)| *tag < bt) {
-                    best = Some((*tag, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        if let Some(t) = src[i].pop_front() {
-            out.push(t);
-        }
-    }
-    out
-}
-
-/// Merge a set back into sequential row order, dropping the tags.
-pub(super) fn merge_rows(set: PartSet) -> Vec<Row> {
-    merge_tagged(set.parts)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-}
-
-/// Replace wide (composite) join tags with dense `u64` tags in global
-/// composite order, keeping each row in its partition.
-pub(super) fn retag_dense(parts: Vec<Vec<(u128, Row)>>) -> Vec<Vec<Tagged>> {
-    let mut out: Vec<Vec<Tagged>> = parts.iter().map(|p| Vec::with_capacity(p.len())).collect();
-    let mut src: Vec<VecDeque<(u128, Row)>> = parts.into_iter().map(Into::into).collect();
-    let mut next = 0u64;
-    loop {
-        let mut best: Option<(u128, usize)> = None;
-        for (i, q) in src.iter().enumerate() {
-            if let Some((tag, _)) = q.front() {
-                if best.is_none_or(|(bt, _)| *tag < bt) {
-                    best = Some((*tag, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        if let Some((_, row)) = src[i].pop_front() {
-            out[i].push((next, row));
-            next += 1;
-        }
-    }
-    out
-}
-
-/// The in-memory exchange operator: re-route every row to its key's
-/// [`RowKey::route`] partition, preserving tags (so partitions stay
-/// tag-ascending). Worker `j` scans all source partitions and keeps the
-/// rows destined for itself; the per-source selections merge by tag.
-pub(super) fn exchange(
-    set: &PartSet,
-    keys: &[Attr],
-    nparts: usize,
-    counters: &mut ExecCounters,
-) -> Result<PartSet> {
-    let probe = Table::empty(set.schema.clone());
-    let cols: Vec<usize> = keys.iter().map(|a| probe.col(a)).collect::<Result<_>>()?;
-    let parts = per_part(nparts, |j| {
-        let lanes: Vec<Vec<Tagged>> = set
-            .parts
-            .iter()
-            .map(|src| {
-                src.iter()
-                    .filter(|(_, row)| RowKey::cols(row, &cols).route(nparts) == j)
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        Ok(merge_tagged(lanes))
-    })?;
-    for (j, part) in parts.iter().enumerate() {
-        counters.worker_rows[j] += part.len() as u64;
-    }
-    Ok(PartSet {
-        schema: set.schema.clone(),
-        scheme: Scheme::Keys(keys.to_vec()),
-        parts,
-    })
-}
-
-/// Split a source table round-robin across partitions, tagging rows with
-/// their table order.
-pub(super) fn distribute(table: Table, nparts: usize, counters: &mut ExecCounters) -> PartSet {
-    let schema = table.schema().clone();
-    let mut parts: Vec<Vec<Tagged>> = vec![Vec::new(); nparts];
-    for (i, row) in table.into_rows().into_iter().enumerate() {
-        let j = i % nparts;
-        parts[j].push((i as u64, row));
-        counters.worker_rows[j] += 1;
-    }
-    PartSet {
-        schema,
-        scheme: Scheme::Arbitrary,
-        parts,
-    }
-}
-
-/// Permute every partition's rows into `target` column order (recordset
-/// nodes present their provider under the declared schema). Tags and
-/// scheme are untouched — attributes keep their names.
-pub(super) fn reorder_set(set: PartSet, target: &Schema) -> Result<PartSet> {
-    if &set.schema == target {
-        return Ok(set);
-    }
-    let probe = Table::empty(set.schema.clone());
-    let mut perm = Vec::with_capacity(target.len());
-    for a in target.iter() {
-        perm.push(probe.col(a)?);
-    }
-    let parts = set
-        .parts
-        .into_iter()
-        .map(|part| {
-            part.into_iter()
-                .map(|(tag, row)| (tag, perm.iter().map(|&i| row[i].clone()).collect()))
-                .collect()
-        })
-        .collect();
-    Ok(PartSet {
-        schema: target.clone(),
-        scheme: set.scheme,
-        parts,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Unary chain link planning (shared with roundsync)
+// Unary chain link planning
 // ---------------------------------------------------------------------
 
 /// The per-partition execution plan of one chain link.
-pub(super) enum LinkPlan {
+enum LinkPlan {
     /// Keep the first (minimum-tag) row per key: `Some(cols)` for the PK
     /// check, `None` for whole-row dedup.
     KeepFirst(Option<Vec<usize>>),
@@ -360,22 +197,18 @@ pub(super) enum LinkPlan {
 
 /// One planned chain link: its execution plan, schemas, and the
 /// co-location it demands.
-pub(super) struct Link {
-    pub(super) plan: LinkPlan,
-    pub(super) in_schema: Schema,
-    pub(super) out_schema: Schema,
-    pub(super) require: Option<Require>,
+struct Link {
+    plan: LinkPlan,
+    in_schema: Schema,
+    out_schema: Schema,
+    require: Option<Require>,
 }
 
 /// Plan every link of a unary chain up front — binding each operator to
 /// its input schema exactly like the sequential `stream::unary_pipeline`
 /// does — so schema errors surface before any data moves, in the same
 /// order the sequential backend raises them.
-pub(super) fn plan_chain(
-    chain: &[UnaryOp],
-    input_schema: &Schema,
-    ctx: &ExecCtx<'_>,
-) -> Result<Vec<Link>> {
+fn plan_chain(chain: &[UnaryOp], input_schema: &Schema, ctx: &ExecCtx<'_>) -> Result<Vec<Link>> {
     let mut links = Vec::with_capacity(chain.len());
     let mut cur = input_schema.clone();
     for op in chain {
@@ -422,7 +255,7 @@ pub(super) fn plan_chain(
 /// How a link transforms the partitioning scheme. Soundness, not
 /// precision: a preserved `Keys` claim must actually still co-locate;
 /// degrading to `Arbitrary` merely forces a later exchange.
-pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
+fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
     let Scheme::Keys(keys) = scheme else {
         return Scheme::Arbitrary;
     };
@@ -448,45 +281,6 @@ pub(super) fn scheme_after(plan: &LinkPlan, scheme: Scheme) -> Scheme {
         Scheme::Arbitrary
     } else {
         Scheme::Keys(keys)
-    }
-}
-
-/// Execute one planned link over one whole partition (the
-/// round-synchronous path). Input is tag-ascending; output must be too.
-pub(super) fn apply_link(link: &Link, part: &[Tagged], ctx: &ExecCtx<'_>) -> Result<Vec<Tagged>> {
-    match &link.plan {
-        LinkPlan::Row(op, _) => {
-            let mut out = Vec::with_capacity(part.len());
-            for (tag, row) in part {
-                if let Some(row) = op.apply(row.clone(), ctx)? {
-                    out.push((*tag, row));
-                }
-            }
-            Ok(out)
-        }
-        LinkPlan::KeepFirst(cols) => {
-            let mut keep = KeepFirst::on(cols.clone());
-            Ok(part
-                .iter()
-                .filter(|(_, row)| keep.admit(row))
-                .cloned()
-                .collect())
-        }
-        LinkPlan::Aggregate(agg) => {
-            // The whole group lives in this partition and arrives in
-            // global input order, so accumulation order — and float
-            // sums — match the sequential run bit-for-bit. Each group
-            // is tagged with its first-seen input tag: ascending in
-            // first-appearance order, the sequential emission order.
-            let mut state = AggState::new(agg, &link.in_schema)?;
-            let mut first_tags: Vec<u64> = Vec::new();
-            for (tag, row) in part {
-                if state.feed_row(row)? {
-                    first_tags.push(*tag);
-                }
-            }
-            Ok(first_tags.into_iter().zip(state.finish()?).collect())
-        }
     }
 }
 
@@ -1461,10 +1255,9 @@ struct WorkerOut {
     chan: Option<ChannelStats>,
 }
 
-/// Per-worker runtime state of one link. Mirrors [`apply_link`] exactly,
-/// but holds the stateful pieces (dedup sets, aggregation accumulators)
-/// across batches so rows can flow through the whole segment pipeline
-/// without a per-link barrier.
+/// Per-worker runtime state of one link: holds the stateful pieces
+/// (dedup sets, aggregation accumulators) across batches so rows can
+/// flow through the whole segment pipeline without a per-link barrier.
 enum LinkRt<'s> {
     Row(&'s RowOp),
     KeepFirst(KeepFirst),
@@ -2473,45 +2266,6 @@ mod tests {
                 .collect(),
         )
         .expect("fixture rows match schema")
-    }
-
-    #[test]
-    fn exchange_preserves_multiset_and_colocates_keys() {
-        let mut counters = ExecCounters {
-            worker_rows: vec![0; 4],
-            ..ExecCounters::default()
-        };
-        let table = keyed_table(200);
-        let input_rows = table.rows().to_vec();
-        let set = distribute(table, 4, &mut counters);
-        let out = exchange(&set, &[Attr::new("k")], 4, &mut counters).expect("exchange succeeds");
-
-        // Union of partitions = input multiset, and tags survive intact.
-        let mut merged = merge_tagged(out.parts.clone());
-        assert_eq!(merged.len(), input_rows.len());
-        let tags: Vec<u64> = merged.iter().map(|(t, _)| *t).collect();
-        assert_eq!(tags, (0..200u64).collect::<Vec<_>>());
-        let rows: Vec<Row> = merged.drain(..).map(|(_, r)| r).collect();
-        assert_eq!(rows, input_rows);
-
-        // Same key → same partition, and partitions stay tag-ascending.
-        let probe = Table::empty(out.schema.clone());
-        let kcol = probe.col(&Attr::new("k")).expect("k resolves");
-        let mut home: HashMap<RowKey, usize> = HashMap::new();
-        for (j, part) in out.parts.iter().enumerate() {
-            let mut last = None;
-            for (tag, row) in part {
-                assert!(last.is_none_or(|l| l < *tag), "tags ascend per partition");
-                last = Some(*tag);
-                let k = RowKey::cols(row, &[kcol]);
-                assert_eq!(
-                    *home.entry(k).or_insert(j),
-                    j,
-                    "key split across partitions"
-                );
-            }
-        }
-        assert!(home.len() > 1);
     }
 
     fn rich_workflow() -> etlopt_core::workflow::Workflow {

@@ -16,10 +16,9 @@
 //! not re-counted.
 //!
 //! This module is the 1-worker pull pipeline; at
-//! `StreamConfig::parallelism > 1` execution moves to the partitioned
-//! coordinators instead — push-based pipelined segments in
-//! [`super::partition`] (default) or the round-synchronous plan in
-//! [`super::roundsync`] — both bit-identical to this backend.
+//! `StreamConfig::parallelism > 1` execution moves to the push-based
+//! pipelined segments of [`super::partition`] instead, bit-identical to
+//! this backend.
 
 use std::collections::HashMap;
 use std::sync::Arc;

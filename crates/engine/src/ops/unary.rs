@@ -6,7 +6,7 @@
 //! column plan are looked up here, not per row — and then applied one
 //! owned row at a time: a row is handed on (possibly rewritten in place)
 //! or dropped, never cloned. The materializing executor, the streaming
-//! pipeline and the partitioned coordinators all run this one
+//! pipeline and the partitioned coordinator all run this one
 //! implementation.
 
 use etlopt_core::scalar::Scalar;

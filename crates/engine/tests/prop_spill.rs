@@ -22,7 +22,6 @@ const TINY: StreamConfig = StreamConfig {
     frame_budget: 2,
     parallelism: 1,
     channel_batches: 4,
-    pipeline: true,
 };
 
 fn value(rng: &mut Rng) -> Scalar {

@@ -17,12 +17,13 @@
 //! non-canonical `meta` field.
 
 pub mod job;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod server;
 pub mod state;
 
+/// The wire JSON lives in core, shared with the calibration store.
+pub use etlopt_core::json;
 pub use job::{catalog_digest, run_request, table_digest};
 pub use proto::{Code, Op, Request, Response};
 pub use queue::{JobQueue, Rejected};

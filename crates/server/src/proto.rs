@@ -325,9 +325,10 @@ fn render_value(v: &Value) -> String {
     match v {
         Value::Null => "null".to_owned(),
         Value::Bool(b) => b.to_string(),
-        Value::Num(n) => {
+        Value::Num(_) => {
+            let n = v.as_f64().unwrap_or(f64::NAN);
             if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
+                format!("{}", n as i64)
             } else {
                 format!("{n}")
             }

@@ -68,6 +68,37 @@ fn activity_names_are_escaped() {
 }
 
 #[test]
+fn non_ascii_names_control_characters_and_wide_integers_roundtrip() {
+    let mut store = CalibrationStore::new();
+    store.record_source("données", 42);
+    store.record(
+        activity_key_str("σ"),
+        "σ",
+        CalEntry::new((1 << 53) + 1, u64::MAX),
+    );
+    store.record(
+        activity_key_str("a\nb"),
+        "a\nb\t\u{1}",
+        CalEntry::new(u64::MAX, 3),
+    );
+    let text = store.to_json();
+    assert!(
+        text.contains("a\\nb\\t\\u0001"),
+        "control characters must be escaped, not written raw:\n{text}"
+    );
+    let back = CalibrationStore::from_json(&text).expect("parse own output");
+    assert_eq!(back.source_rows("données"), Some(42));
+    let names: Vec<&str> = back.entries().map(|(_, a, _)| a).collect();
+    assert!(names.contains(&"σ"), "{names:?}");
+    assert_eq!(
+        back.entry(activity_key_str("σ")),
+        Some(CalEntry::new((1 << 53) + 1, u64::MAX))
+    );
+    assert_eq!(back, store);
+    assert_eq!(back.to_json(), text);
+}
+
+#[test]
 fn from_json_rejects_garbage() {
     assert!(CalibrationStore::from_json("not json").is_err());
     assert!(

@@ -26,9 +26,8 @@
 //! data volume it additionally asserts that the buffer pool really went
 //! through its spill path. `--threads N` (default 1) runs the stream with
 //! N partition-parallel workers; above 1 every scenario is additionally
-//! checked bit-identical against the 1-thread stream *and* the
-//! round-synchronous backend, and the counter report carries the
-//! per-worker batch split (`worker_rows`) plus the pipeline-depth
+//! checked bit-identical against the 1-thread stream, and the counter
+//! report carries the per-worker batch split (`worker_rows`) plus the pipeline-depth
 //! telemetry (`pipeline` section of `--trace-json`). `--channel-batches`
 //! (default 4) sets the pipelined backend's bounded channel capacity in
 //! batches. `--rows`
@@ -231,7 +230,6 @@ fn backends_cmd(mut flags: Flags) -> Result<ExitCode, String> {
         frame_budget,
         parallelism: threads.max(1),
         channel_batches: channel_batches.max(1),
-        ..StreamConfig::default()
     };
     eprintln!(
         "backend differential over {} smoke scenarios, {rows} rows/source, \

@@ -1,7 +1,6 @@
 //! Engine-throughput baseline: wall-clock for the Fig. 1 workflow across
-//! the backend × volume matrix — materializing, sequential streaming,
-//! partition-parallel streaming at 2 and 4 workers, and the pipelined
-//! parallel coordinator head-to-head against the round-synchronous one.
+//! the backend × volume matrix — materializing, sequential streaming and
+//! partition-parallel streaming at 2 and 4 workers.
 //!
 //! Emits `BENCH_engine.json` in the current directory. Criterion-free so
 //! it runs offline from the workspace (the criterion matrix lives in
@@ -143,56 +142,6 @@ fn main() {
             ));
         }
 
-        // Pipelined vs round-synchronous coordinator at the widest thread
-        // count the machine can honestly time. Correctness (bit-identical
-        // targets and stats against the sequential stream) is asserted for
-        // both coordinators even when the timing itself is skipped.
-        let pvr_threads = 4usize;
-        let pipelined = Executor::new(catalog.clone())
-            .with_backend(Backend::Stream)
-            .with_parallelism(pvr_threads);
-        let roundsync = Executor::new(catalog.clone())
-            .with_backend(Backend::Stream)
-            .with_parallelism(pvr_threads)
-            .with_pipeline(false);
-        for (name, exec) in [("pipelined", &pipelined), ("roundsync", &roundsync)] {
-            let run = exec.run_stream(&wf).expect("coordinator run executes");
-            assert_eq!(
-                sequential.result.targets, run.result.targets,
-                "{name} targets diverged at scale {scale}, {pvr_threads} threads"
-            );
-            assert_eq!(
-                sequential.result.stats, run.result.stats,
-                "{name} stats diverged at scale {scale}, {pvr_threads} threads"
-            );
-        }
-        let pvr_json = if pvr_threads > machine_threads {
-            format!(
-                concat!(
-                    "{{\"threads\": {}, \"pipelined_rows_per_sec\": null, ",
-                    "\"roundsync_rows_per_sec\": null, \"pipelined_speedup\": null, ",
-                    "\"note\": \"skipped: machine_threads = {} < {}\"}}"
-                ),
-                pvr_threads, machine_threads, pvr_threads
-            )
-        } else {
-            let pipe_rate = rate(&pipelined, &wf, scale);
-            let round_rate = rate(&roundsync, &wf, scale);
-            eprintln!(
-                "scale {scale}: pipelined {pipe_rate:.0} rows/s vs roundsync {round_rate:.0} rows/s"
-            );
-            format!(
-                concat!(
-                    "{{\"threads\": {}, \"pipelined_rows_per_sec\": {}, ",
-                    "\"roundsync_rows_per_sec\": {}, \"pipelined_speedup\": {:.2}}}"
-                ),
-                pvr_threads,
-                json_rate(Some(pipe_rate)),
-                json_rate(Some(round_rate)),
-                pipe_rate / round_rate
-            )
-        };
-
         eprintln!("scale {scale}: materialize {mat_rate:.0} rows/s, stream {seq_rate:.0} rows/s");
         tiers.push(format!(
             concat!(
@@ -200,15 +149,13 @@ fn main() {
                 "    \"scale\": {},\n",
                 "    \"materialize_rows_per_sec\": {},\n",
                 "    \"stream_rows_per_sec\": {},\n",
-                "    \"parallel\": [\n{}\n    ],\n",
-                "    \"pipelined_vs_roundsync\": {}\n",
+                "    \"parallel\": [\n{}\n    ]\n",
                 "  }}"
             ),
             scale,
             json_rate(Some(mat_rate)),
             json_rate(Some(seq_rate)),
             threads_json.join(",\n"),
-            pvr_json,
         ));
     }
 
